@@ -63,10 +63,20 @@ class DistributedAlphabet:
             norm[a] = procs
         if set(self.dom) - set(self.actions):
             raise ValueError("dom mentions unknown actions")
-        self.dom = norm
-        self._dom_sets = {a: frozenset(ps) for a, ps in norm.items()}
+        self._domains = {}  # domain tuple -> (that tuple, its frozenset)
+        self.dom = {a: self.domain(ps)[0] for a, ps in norm.items()}
+        self._dom_sets = {a: self.domain(ps)[1] for a, ps in norm.items()}
         self._action_index = {a: i for i, a in enumerate(self.actions)}
         self._proc_index = {p: i for i, p in enumerate(self.processes)}
+
+    def domain(self, procs: tuple) -> tuple:
+        """(procs, frozenset(procs)) for a domain given in declared process
+        order; the alphabet keeps one such pair per distinct domain, so
+        equal domains of actions and nodes share storage."""
+        entry = self._domains.get(procs)
+        if entry is None:
+            entry = self._domains[procs] = (procs, frozenset(procs))
+        return entry
 
     def dom_set(self, action) -> frozenset:
         return self._dom_sets[action]
@@ -151,7 +161,7 @@ class Negotiation:
                 raise ValueError(f"node {n!r} has an empty domain")
             if not set(self.dnode[n]) <= proc_set:
                 raise ValueError(f"dnode({n!r}) mentions unknown processes")
-            norm[n] = ps
+            norm[n] = self.alphabet.domain(ps)[0]
         self.dnode = norm
         for (n, a, p), m in self.delta.items():
             if n not in node_set or m not in node_set:
@@ -160,7 +170,6 @@ class Negotiation:
                 raise ValueError(f"transition on unknown action {a!r}")
             if p not in proc_set:
                 raise ValueError(f"transition for unknown process {p!r}")
-        self._dnode_sets = {n: frozenset(ps) for n, ps in norm.items()}
         out = {n: [] for n in self.nodes}
         for n in self.nodes:
             for a in self.alphabet.actions:
@@ -169,7 +178,7 @@ class Negotiation:
         self._out = {n: tuple(acts) for n, acts in out.items()}
 
     def dnode_set(self, n) -> frozenset:
-        return self._dnode_sets[n]
+        return self.alphabet.domain(self.dnode[n])[1]
 
     def out(self, n) -> tuple:
         """Actions with at least one transition leaving `n`."""

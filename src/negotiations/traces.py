@@ -3,23 +3,43 @@
 Words are tuples of actions; two words are trace-equal when one can be
 rewritten into the other by swapping adjacent letters with disjoint domains.
 The canonical representative used throughout is the lexicographic normal
-form under the alphabet's declared action order.
+form under the alphabet's declared action order (Anisimov & Knuth 1979).
+
+The operations scan a word once, left to right, tracking the processes of
+the events seen so far. Linking each event to the last earlier event on
+each of its processes gives the dependence DAG in O(n*|P|); `normal_form`
+is Kahn's topological sort of that DAG with a min-heap on the action
+index, O(n*(|P| + log n)) for a word of n letters over |P| processes.
+Minimal events and upward closures keep one set of touched (or blocked)
+processes instead. A letter outside the alphabet raises UnknownAction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
-from .errors import NotCoprime, ProcessNotInDmin
+from .errors import NotCoprime, ProcessNotInDmin, UnknownAction
 from .model import Configuration, DistributedAlphabet, Negotiation, enabled_actions, step
+
+
+def _domains(alpha: DistributedAlphabet, w) -> list:
+    """The process set of each letter of `w`, in order."""
+    dom_sets = alpha._dom_sets
+    try:
+        return [dom_sets[a] for a in w]
+    except KeyError as exc:
+        raise UnknownAction(f"unknown action {exc.args[0]!r}") from None
 
 
 def minimal_event_indices(alpha: DistributedAlphabet, w) -> list:
     """Positions whose event depends on no earlier event."""
     out = []
-    for i, a in enumerate(w):
-        if all(not alpha.dependent(w[j], a) for j in range(i)):
+    touched = set()
+    for i, procs in enumerate(_domains(alpha, w)):
+        if touched.isdisjoint(procs):
             out.append(i)
+        touched |= procs
     return out
 
 
@@ -29,17 +49,39 @@ def minimal_actions(alpha: DistributedAlphabet, w) -> set:
 
 
 def normal_form(alpha: DistributedAlphabet, w) -> tuple:
-    """Greedy lexicographic normal form: repeatedly emit the order-least
-    action among the current minimal events."""
-    rest = list(w)
+    """Lexicographic normal form: repeatedly emit the order-least action
+    among the minimal events of what is left.
+
+    Each event is linked to the last earlier event on each of its
+    processes; two events sharing several processes are linked once per
+    shared process, and the in-degree counts every link. Two minimal events
+    never share an action (equal actions are dependent), so the heap never
+    compares two events with the same key.
+    """
+    index = alpha._action_index
+    last = {}  # process -> its latest event so far
+    indegree = []
+    succs = []
+    for i, procs in enumerate(_domains(alpha, w)):
+        d = 0
+        for p in procs:
+            j = last.get(p)
+            if j is not None:
+                succs[j].append(i)
+                d += 1
+            last[p] = i
+        indegree.append(d)
+        succs.append([])
+    ready = [(index[w[i]], i) for i, d in enumerate(indegree) if not d]
+    heapify(ready)
     out = []
-    while rest:
-        best = None
-        for i, a in enumerate(rest):
-            if all(not alpha.dependent(rest[j], a) for j in range(i)):
-                if best is None or alpha.action_index(a) < alpha.action_index(rest[best]):
-                    best = i
-        out.append(rest.pop(best))
+    while ready:
+        _, i = heappop(ready)
+        out.append(w[i])
+        for j in succs[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                heappush(ready, (index[w[j]], j))
     return tuple(out)
 
 
@@ -52,18 +94,22 @@ def trace_quotient(alpha: DistributedAlphabet, u, w):
 
     Matches u's letters left to right against minimal events of the
     remainder; taking any minimal occurrence of an action yields a
-    trace-equal remainder, so the greedy match is exact.
+    trace-equal remainder, so the greedy match is exact. Only the first
+    occurrence of an action can be minimal, so each letter's scan stops at
+    that occurrence or at the first earlier event touching its processes.
     """
+    alpha.check_word(u)
+    alpha.check_word(w)
     rest = list(w)
     for a in u:
-        hit = None
         for i, b in enumerate(rest):
-            if b == a and all(not alpha.dependent(rest[j], b) for j in range(i)):
-                hit = i
+            if b == a:
+                del rest[i]
                 break
-        if hit is None:
+            if alpha.dependent(a, b):
+                return None
+        else:
             return None
-        rest.pop(hit)
     return tuple(rest)
 
 
@@ -108,11 +154,14 @@ def upward_closure_indices(alpha: DistributedAlphabet, w, e) -> list:
     n = len(w)
     if not 0 <= e < n:
         raise IndexError(f"event index {e} out of range for length {n}")
-    above = [False] * n
-    above[e] = True
+    doms = _domains(alpha, w)
+    out = [e]
+    blocked = set(doms[e])  # processes of the events above e so far
     for j in range(e + 1, n):
-        above[j] = any(above[i] and alpha.dependent(w[i], w[j]) for i in range(e, j))
-    return [i for i in range(n) if above[i]]
+        if not blocked.isdisjoint(doms[j]):
+            out.append(j)
+            blocked |= doms[j]
+    return out
 
 
 def upward_closure_split(alpha: DistributedAlphabet, w, e):
@@ -193,11 +242,8 @@ def max_executable_prefix(n: Negotiation, w, rng=None) -> PrefixResult:
     fired = []
     history = {p: [] for p in alpha.processes}
     while True:
-        candidates = []
-        for i, a in enumerate(rest):
-            if all(not alpha.dependent(rest[j], a) for j in range(i)):
-                candidates.append(i)
-        enabled_now = [i for i in candidates if rest[i] in set(enabled_actions(n, c))]
+        enabled = set(enabled_actions(n, c))
+        enabled_now = [i for i in minimal_event_indices(alpha, rest) if rest[i] in enabled]
         if not enabled_now:
             break
         pick = enabled_now[0] if rng is None else rng.choice(enabled_now)

@@ -31,6 +31,38 @@ def brute_normal_form(alpha, w):
     return min(trace_closure(alpha, w), key=lambda u: word_key(alpha, u))
 
 
+def greedy_normal_form(alpha, w):
+    """Greedy lexicographic normal form: repeatedly emit the order-least
+    action among the current minimal events, found by pairwise rescans."""
+    rest = list(w)
+    out = []
+    while rest:
+        best = None
+        for i, a in enumerate(rest):
+            if all(not alpha.dependent(rest[j], a) for j in range(i)):
+                if best is None or alpha.action_index(a) < alpha.action_index(rest[best]):
+                    best = i
+        out.append(rest.pop(best))
+    return tuple(out)
+
+
+def pairwise_minimal_event_indices(alpha, w):
+    """Positions whose event depends on no earlier event."""
+    return [
+        i for i, a in enumerate(w)
+        if all(not alpha.dependent(w[j], a) for j in range(i))
+    ]
+
+
+def pairwise_upward_closure_indices(alpha, w, e):
+    """Indices of events >= e in the dependence order (e included)."""
+    above = [False] * len(w)
+    above[e] = True
+    for j in range(e + 1, len(w)):
+        above[j] = any(above[i] and alpha.dependent(w[i], w[j]) for i in range(e, j))
+    return [i for i in range(len(w)) if above[i]]
+
+
 def brute_minimal_actions(alpha, w):
     return {u[0] for u in trace_closure(alpha, w) if u}
 

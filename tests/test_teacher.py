@@ -1,6 +1,6 @@
 import pytest
 
-from negotiations.errors import AlphabetMismatch
+from negotiations.errors import AlphabetMismatch, UnknownAction
 from negotiations.model import Negotiation, empty_negotiation, member_exec
 from negotiations.teacher import NEGATIVE, POSITIVE, Teacher
 
@@ -28,6 +28,11 @@ class TestMembership:
         assert t.member_exec_query(("c", "y", "x", "d"))
         assert t.stats.membership_distinct == 1
         assert not t.member_exec_query(("c", "x"))
+
+    @pytest.mark.parametrize("w", [("zz",), ("c", "zz")])
+    def test_exec_query_unknown_letter(self, w):
+        with pytest.raises(UnknownAction):
+            Teacher(fixtures.fork()).member_exec_query(w)
 
 
 class TestEquivalence:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negotiations.errors import NotCoprime, ProcessNotInDmin
+from negotiations.errors import NotCoprime, ProcessNotInDmin, UnknownAction
 from negotiations.model import DistributedAlphabet
 from negotiations import traces
 
@@ -57,6 +57,63 @@ class TestNormalForm:
         for v in oracles.trace_closure(alpha, w):
             assert traces.normal_form(alpha, v) == nf
 
+    @pytest.mark.parametrize("w", [("zz",), ("c", "zz")])
+    def test_unknown_letter(self, w):
+        with pytest.raises(UnknownAction):
+            traces.normal_form(FORK_ALPHA, w)
+
+
+LONG_WORD_ALPHABETS = {
+    name: getattr(fixtures, name)().alphabet
+    for name in ("mod15", "forked_periods", "editorial")
+}
+
+
+@st.composite
+def long_words(draw):
+    """A word of 0-96 letters over one of the fixture alphabets; the
+    benchmark's membership stream sends executions of 32-96 letters."""
+    alpha = draw(st.sampled_from(sorted(LONG_WORD_ALPHABETS)).map(LONG_WORD_ALPHABETS.get))
+    size = draw(st.integers(min_value=0, max_value=96))
+    letters = st.sampled_from(alpha.actions)
+    return alpha, tuple(draw(st.lists(letters, min_size=size, max_size=size)))
+
+
+class TestAgainstPairwiseOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(long_words())
+    def test_normal_form(self, case):
+        alpha, w = case
+        assert traces.normal_form(alpha, w) == oracles.greedy_normal_form(alpha, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(long_words())
+    def test_minimal_event_indices(self, case):
+        alpha, w = case
+        assert traces.minimal_event_indices(alpha, w) == (
+            oracles.pairwise_minimal_event_indices(alpha, w)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(long_words(), st.integers(min_value=0, max_value=95))
+    def test_upward_closure_indices(self, case, e):
+        alpha, w = case
+        if not w:
+            return
+        e %= len(w)
+        assert traces.upward_closure_indices(alpha, w, e) == (
+            oracles.pairwise_upward_closure_indices(alpha, w, e)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(long_words(), st.integers(min_value=0, max_value=96))
+    def test_quotient_by_normal_form_prefix(self, case, k):
+        alpha, w = case
+        nf = oracles.greedy_normal_form(alpha, w)
+        rest = traces.trace_quotient(alpha, nf[:k], w)
+        assert rest is not None
+        assert oracles.greedy_normal_form(alpha, nf[:k] + rest) == nf
+
 
 class TestTraceEqual:
     def test_fork_pairs(self):
@@ -89,6 +146,11 @@ class TestQuotient:
         assert got is not None
         assert traces.trace_equal(FORK_ALPHA, got, ("y", "d"))
         assert traces.trace_quotient(FORK_ALPHA, ("x",), ("c", "x")) is None
+
+    @pytest.mark.parametrize("u, w", [(("zz",), ("c",)), ((), ("c", "zz"))])
+    def test_unknown_letter(self, u, w):
+        with pytest.raises(UnknownAction):
+            traces.trace_quotient(FORK_ALPHA, u, w)
 
     @settings(max_examples=200, deadline=None)
     @given(words, words)
