@@ -1,7 +1,8 @@
 """The `neg` command line tool.
 
 Exit codes: 0 on success / property true, 1 when a checked property is
-false, 2 on usage or I/O errors.
+false, 2 on usage or I/O errors, 3 when a search ran past its budget before
+deciding (undecided: neither true nor false).
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ import sys
 
 from . import automata, formats, learn_exec, learn_paths, soundness
 from .generate import GenParams, generate
-from .errors import NegotiationError, ParseError
+from .errors import BudgetExceeded, NegotiationError, ParseError
 from .model import member_exec, member_path, validate, path_coverage_warnings
 from .teacher import Teacher
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
+EXIT_UNDECIDED = 3
 
 
 def _load(path: str):
@@ -228,6 +230,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BudgetExceeded as exc:
+        print(f"undecided: search budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     except NegotiationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FALSE

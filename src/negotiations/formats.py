@@ -1,5 +1,5 @@
 """File formats: the negotiation JSON interchange format, local-word and
-execution string forms, DFA export, and Graphviz DOT output.
+execution string forms, and Graphviz DOT output.
 
 The JSON format is byte-stable: UTF-8, no extra whitespace, keys emitted in
 the fixed order processes, actions, nodes, init, fin, transitions, and all
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 
-from .automata import PartialDfa
 from .errors import ParseError
 from .model import DistributedAlphabet, Negotiation
 
@@ -107,10 +106,6 @@ def parse_local_word(text: str, alphabet: DistributedAlphabet | None = None):
     return tuple(letters)
 
 
-def format_execution(w) -> str:
-    return " ".join(w)
-
-
 def parse_execution(text: str, alphabet: DistributedAlphabet | None = None):
     word = tuple(text.split())
     if alphabet is not None:
@@ -118,26 +113,6 @@ def parse_execution(text: str, alphabet: DistributedAlphabet | None = None):
             if a not in set(alphabet.actions):
                 raise ParseError(f"letter {i}: unknown action {a!r}")
     return word
-
-
-# -- debug DFA export ---------------------------------------------------------
-
-
-def dfa_to_json(dfa: PartialDfa) -> str:
-    obj = {
-        "processes": list(dfa.alphabet.processes),
-        "actions": {a: list(dfa.alphabet.dom[a]) for a in dfa.alphabet.actions},
-        "states": list(dfa.states),
-        "init": dfa.init,
-        "finals": [s for s in dfa.states if s in dfa.finals],
-        "transitions": [
-            [s, f"{a}@{p}", dfa.delta[(s, (a, p))]]
-            for s in dfa.states
-            for (a, p) in dfa.alphabet.local_letters()
-            if (s, (a, p)) in dfa.delta
-        ],
-    }
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
 # -- DOT ----------------------------------------------------------------------

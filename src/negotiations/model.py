@@ -5,12 +5,23 @@ in a node's domain leave it jointly by choosing a common outgoing action.
 This module holds the data model (alphabet, diagram, configuration), the
 well-formedness check, word/local-path execution, and the configuration
 graph that backs the soundness and equivalence oracles.
+
+`enabled`, `enabled_actions` and `step` are the reference semantics. The
+searches over the configuration space (`configuration_graph`, so semantic
+soundness; `compute_I`; the teacher's product search) run instead on one
+successor kernel, `successor_function`, over plain node tuples. Building it
+reads `delta` once, in O(|delta|). Expanding a configuration then costs
+O(d*k + s*|P|) for its d distinct occupied nodes, domains of at most k
+processes and s successors: no scan of all nodes, no `Configuration` built
+per step, and tuple hashes instead of dataclass hashes in the visited sets.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     AmbiguousConfiguration,
@@ -366,44 +377,155 @@ def member_path(n: Negotiation, pi) -> bool:
         return False
 
 
+def _presence_table(n: Negotiation, payload: dict) -> dict:
+    """node m -> (get, want, payload[m]) for the nodes of `payload`, where
+    get(nodes) == want exactly when every process of dnode(m) sits at m in
+    the node tuple `nodes`."""
+    pos = {p: i for i, p in enumerate(n.alphabet.processes)}
+    table = {}
+    for m, value in payload.items():
+        idx = [pos[p] for p in n.dnode[m]]
+        table[m] = (itemgetter(*idx), m if len(idx) == 1 else (m,) * len(idx), value)
+    return table
+
+
+def _enabled_in(table: dict, nodes: tuple) -> list:
+    """The payloads of the table's nodes that are enabled in the node tuple
+    `nodes`. Only the distinct nodes occurring in `nodes` are looked at: a
+    node elsewhere holds none of its processes, so it is not enabled."""
+    out = []
+    for m in set(nodes):
+        entry = table.get(m)
+        if entry is not None and entry[0](nodes) == entry[1]:
+            out.append(entry[2])
+    return out
+
+
+def successor_function(n: Negotiation):
+    """The successor kernel of `n` over node tuples.
+
+    Returns `succ(nodes) -> [(action, next_nodes), ...]`: the actions
+    fireable in the configuration whose node tuple (declared process order)
+    is `nodes`, in declared action order, each with the node tuple it leads
+    to -- `enabled_actions` and `step` without a `Configuration`. `delta` is
+    read once, here; nothing is cached on `n`.
+
+    A move (m, a) with dom(a) a subset of dnode(m), the only kind a valid
+    negotiation has, fires by writing its precomputed targets. Any other
+    move goes through `step` when it fires, so an invalid negotiation raises
+    the same `NotEnabled` as the reference semantics.
+    """
+    procs = n.alphabet.processes
+    pos = {p: i for i, p in enumerate(procs)}
+    # node -> [(action index, checked, action, targets or None)]; at equal
+    # indices, which only an invalid negotiation has, the unchecked move
+    # sorts first
+    moves = {}
+    for m in n.nodes:
+        for a in n.out(m):
+            dom = n.alphabet.dom[a]
+            if not all((m, a, p) in n.delta for p in dom):
+                continue
+            checked = not n.alphabet.dom_set(a) <= n.dnode_set(m)
+            targets = None if checked else tuple((pos[p], n.delta[(m, a, p)]) for p in dom)
+            moves.setdefault(m, []).append((n.alphabet.action_index(a), checked, a, targets))
+    table = _presence_table(n, moves)
+
+    def succ(nodes: tuple) -> list:
+        found = _enabled_in(table, nodes)
+        if len(found) == 1:
+            fireable = found[0]
+        elif found:  # concurrent nodes: merge their moves into action order
+            fireable = []
+            for ms in found:
+                fireable += ms
+            fireable.sort()
+        else:
+            return []
+        out = []
+        for _, _, a, targets in fireable:
+            if targets is not None:
+                nxt = list(nodes)
+                for i, t in targets:
+                    nxt[i] = t
+                out.append((a, tuple(nxt)))
+            elif not out or out[-1][0] != a:  # an action fireable at two nodes fires once
+                out.append((a, step(n, Configuration(procs, nodes), a).nodes))
+        return out
+
+    return succ
+
+
+def _stepwise_moves(n: Negotiation, nodes: tuple, reverse: bool = False):
+    """The moves of `nodes` by `enabled_actions` and `step`, fired one at a
+    time. A search falls back to this when the kernel raises `NotEnabled`,
+    so a bad move fires exactly where the reference semantics fires it
+    (after the moves before it, and their budget checks)."""
+    c = Configuration(n.alphabet.processes, nodes)
+    acts = enabled_actions(n, c)
+    for a in reversed(acts) if reverse else acts:
+        yield a, step(n, c, a).nodes
+
+
 @dataclass
 class ConfigurationGraph:
-    """Explicit reachable configuration graph.
+    """Explicit reachable configuration graph over node tuples.
 
-    `vertices` in BFS discovery order (actions expanded in declared order);
-    `edges[c]` is the list of (action, successor) pairs in action order.
+    `order` holds the reachable node tuples (declared process order) in BFS
+    discovery order, actions expanded in declared order; `succ[i]` lists the
+    (action, j) pairs leaving `order[i]` in action order, `j` indexing
+    `order`. `init`, `vertices` (discovery order) and `edges[c]` (the
+    (action, successor) pairs of `c`) give the same graph over
+    `Configuration`s.
     """
 
-    init: Configuration
-    vertices: tuple
-    edges: dict
+    processes: tuple
+    order: tuple
+    succ: tuple
 
     def __len__(self):
-        return len(self.vertices)
+        return len(self.order)
+
+    @property
+    def init(self) -> Configuration:
+        return Configuration(self.processes, self.order[0])
+
+    @cached_property
+    def vertices(self) -> tuple:
+        return tuple(Configuration(self.processes, c) for c in self.order)
+
+    @cached_property
+    def edges(self) -> dict:
+        vs = self.vertices
+        return {vs[i]: tuple((a, vs[j]) for a, j in outs) for i, outs in enumerate(self.succ)}
 
 
 def configuration_graph(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> ConfigurationGraph:
-    init = n.initial_configuration()
-    seen = {init}
+    """The reachable configuration graph by BFS over node tuples; raises
+    StateBudgetExceeded past `budget` vertices."""
+    succ = successor_function(n)
+    init = n.initial_configuration().nodes
+    index = {init: 0}
     order = [init]
-    edges = {}
-    queue = deque([init])
-    while queue:
-        c = queue.popleft()
+    succs = []
+    for c in order:  # BFS: `order` grows while it is walked
+        try:
+            moves = succ(c)
+        except NotEnabled:
+            moves = _stepwise_moves(n, c)
         outs = []
-        for a in enabled_actions(n, c):
-            c2 = step(n, c, a)
-            outs.append((a, c2))
-            if c2 not in seen:
-                seen.add(c2)
-                if len(seen) > budget:
+        for a, c2 in moves:
+            j = index.get(c2)
+            if j is None:
+                j = index[c2] = len(order)
+                order.append(c2)
+                if len(order) > budget:
                     raise StateBudgetExceeded(
                         f"configuration graph exceeds {budget} vertices"
                     )
-                order.append(c2)
-                queue.append(c2)
-        edges[c] = tuple(outs)
-    return ConfigurationGraph(init, tuple(order), edges)
+            outs.append((a, j))
+        succs.append(tuple(outs))
+    return ConfigurationGraph(n.alphabet.processes, tuple(order), tuple(succs))
 
 
 def compute_I(n: Negotiation, node, budget: int = DEFAULT_STATE_BUDGET, reverse_ties: bool = False) -> Configuration:
@@ -413,24 +535,31 @@ def compute_I(n: Negotiation, node, budget: int = DEFAULT_STATE_BUDGET, reverse_
     """
     if node not in set(n.nodes):
         raise ValueError(f"unknown node {node!r}")
-    init = n.initial_configuration()
+    procs = n.alphabet.processes
+    table = _presence_table(n, {m: m for m in n.nodes})
+    succ = successor_function(n)
+    init = n.initial_configuration().nodes
     seen = {init}
     queue = deque([init])
     found = None
     while queue:
         c = queue.popleft()
-        if enabled_nodes(n, c) == {node}:
+        if _enabled_in(table, c) == [node]:
             if found is not None and found != c:
                 raise AmbiguousConfiguration(
-                    f"two configurations enable exactly {node!r}: {found} and {c}"
+                    f"two configurations enable exactly {node!r}: "
+                    f"{Configuration(procs, found)} and {Configuration(procs, c)}"
                 )
             if found is None:
                 found = c
-        acts = enabled_actions(n, c)
-        if reverse_ties:
-            acts = list(reversed(acts))
-        for a in acts:
-            c2 = step(n, c, a)
+        try:
+            moves = succ(c)
+        except NotEnabled:
+            moves = _stepwise_moves(n, c, reverse_ties)
+        else:
+            if reverse_ties:
+                moves.reverse()
+        for a, c2 in moves:
             if c2 not in seen:
                 seen.add(c2)
                 if len(seen) > budget:
@@ -440,7 +569,7 @@ def compute_I(n: Negotiation, node, budget: int = DEFAULT_STATE_BUDGET, reverse_
                 queue.append(c2)
     if found is None:
         raise ConfigurationNotFound(f"no reachable configuration enables exactly {node!r}")
-    return found
+    return Configuration(procs, found)
 
 
 def empty_negotiation(alphabet: DistributedAlphabet, init="n_init", fin="n_fin") -> Negotiation:

@@ -33,26 +33,25 @@ def is_sound_semantic(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> Sem
     """Every reachable configuration must reach C_fin; on failure returns the
     first reachable configuration (in BFS order) with no path to C_fin."""
     graph = configuration_graph(n, budget=budget)
-    fin = n.final_configuration()
-    pred = {}
-    for c, outs in graph.edges.items():
-        for _, c2 in outs:
-            pred.setdefault(c2, []).append(c)
-    coreach = set()
-    if fin in graph.edges or fin in pred or fin == graph.init:
-        coreach.add(fin)
-        queue = deque([fin])
-        while queue:
-            c = queue.popleft()
-            for c0 in pred.get(c, ()):
-                if c0 not in coreach:
-                    coreach.add(c0)
-                    queue.append(c0)
-    stuck = [c for c in graph.vertices if c not in coreach]
+    pred = [[] for _ in graph.order]
+    for i, outs in enumerate(graph.succ):
+        for _, j in outs:
+            pred[j].append(i)
+    coreach = [False] * len(graph)
+    fin = n.final_configuration().nodes
+    if fin in graph.order:
+        queue = [graph.order.index(fin)]
+        coreach[queue[0]] = True
+        for j in queue:
+            for i in pred[j]:
+                if not coreach[i]:
+                    coreach[i] = True
+                    queue.append(i)
+    stuck = [i for i, ok in enumerate(coreach) if not ok]
     if stuck:
         # prefer an outright deadlock as the counterexample when one exists
-        dead = next((c for c in stuck if not graph.edges[c]), None)
-        return SemanticSoundness(False, dead if dead is not None else stuck[0])
+        dead = next((i for i in stuck if not graph.succ[i]), stuck[0])
+        return SemanticSoundness(False, Configuration(graph.processes, graph.order[dead]))
     return SemanticSoundness(True, None)
 
 

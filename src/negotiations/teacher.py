@@ -8,18 +8,19 @@ shortest first with lexicographic tie-breaking.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import automata, soundness, traces
-from .errors import AlphabetMismatch, StateBudgetExceeded
+from .errors import AlphabetMismatch, NotEnabled, StateBudgetExceeded
 from .model import (
     DEFAULT_STATE_BUDGET,
+    Configuration,
     Negotiation,
     enabled_actions,
     member_exec,
     member_path,
     step,
+    successor_function,
 )
 
 POSITIVE = "positive"
@@ -126,16 +127,18 @@ class Teacher:
         return answer
 
     def _product_search(self, hypothesis: Negotiation) -> EquivAnswer:
-        """BFS over the synchronized product; a side goes to a dead sink when
-        a letter is not enabled there. Expansion follows declared action
-        order, so the first difference found is the shortest, lexicographically
-        least counterexample."""
+        """BFS over the synchronized product of the two configuration graphs,
+        on node tuples; a side goes to the dead sink (None) when a letter is
+        not enabled there. Expansion follows declared action order, so the
+        first difference found is the shortest, lexicographically least
+        counterexample."""
         t, h = self.target, hypothesis
-        t_fin = t.final_configuration()
-        h_fin = h.final_configuration()
-        start = (t.initial_configuration(), h.initial_configuration())
+        succ_t, succ_h = successor_function(t), successor_function(h)
+        rank = t.alphabet.action_index
+        t_fin = t.final_configuration().nodes
+        h_fin = h.final_configuration().nodes
+        start = (t.initial_configuration().nodes, h.initial_configuration().nodes)
         parent = {start: None}
-        order = deque([start])
 
         def word_of(state):
             parts = []
@@ -144,25 +147,20 @@ class Teacher:
                 parts.append(a)
             return tuple(reversed(parts))
 
-        def differs(state):
-            c1, c2 = state
-            return (c1 == t_fin) != (c2 == h_fin)
-
-        if differs(start):
+        if (start[0] == t_fin) != (start[1] == h_fin):
             sign = POSITIVE if start[0] == t_fin else NEGATIVE
             return EquivAnswer(False, sign, ())
-        while order:
-            state = order.popleft()
+        queue = [start]
+        for state in queue:  # BFS: `queue` grows while it is walked
             c1, c2 = state
-            acts1 = set(enabled_actions(t, c1)) if c1 is not _DEAD else set()
-            acts2 = set(enabled_actions(h, c2)) if c2 is not _DEAD else set()
-            for a in t.alphabet.actions:
-                if a not in acts1 and a not in acts2:
-                    continue
-                n1 = step(t, c1, a) if a in acts1 else _DEAD
-                n2 = step(h, c2, a) if a in acts2 else _DEAD
-                if n1 is _DEAD and n2 is _DEAD:
-                    continue
+            try:
+                moves1 = dict(succ_t(c1)) if c1 is not _DEAD else {}
+                moves2 = dict(succ_h(c2)) if c2 is not _DEAD else {}
+                moves = [(a, moves1.get(a), moves2.get(a))
+                         for a in sorted(moves1.keys() | moves2.keys(), key=rank)]
+            except NotEnabled:
+                moves = _stepwise_product_moves(t, h, c1, c2)
+            for a, n1, n2 in moves:
                 nxt = (n1, n2)
                 if nxt in parent:
                     continue
@@ -171,8 +169,24 @@ class Teacher:
                     raise StateBudgetExceeded(
                         f"equivalence product exceeds {self.state_budget} states"
                     )
-                if differs(nxt):
+                if (n1 == t_fin) != (n2 == h_fin):
                     sign = POSITIVE if n1 == t_fin else NEGATIVE
                     return EquivAnswer(False, sign, word_of(nxt))
-                order.append(nxt)
+                queue.append(nxt)
         return EquivAnswer(True)
+
+
+def _stepwise_product_moves(t: Negotiation, h: Negotiation, c1, c2):
+    """The product moves of (c1, c2) by `enabled_actions` and `step`, fired
+    one action at a time, target side first. The search falls back to this
+    when a kernel raises `NotEnabled`, so an invalid side raises exactly
+    where the reference semantics does."""
+    s1 = Configuration(t.alphabet.processes, c1) if c1 is not _DEAD else _DEAD
+    s2 = Configuration(h.alphabet.processes, c2) if c2 is not _DEAD else _DEAD
+    acts1 = set(enabled_actions(t, s1)) if s1 is not _DEAD else set()
+    acts2 = set(enabled_actions(h, s2)) if s2 is not _DEAD else set()
+    for a in t.alphabet.actions:
+        if a in acts1 or a in acts2:
+            n1 = step(t, s1, a).nodes if a in acts1 else _DEAD
+            n2 = step(h, s2, a).nodes if a in acts2 else _DEAD
+            yield a, n1, n2

@@ -4,7 +4,14 @@ against. Everything here is deliberately naive."""
 from collections import deque
 from itertools import product
 
-from negotiations.model import Negotiation, enabled_actions, step
+from negotiations.errors import (
+    AmbiguousConfiguration,
+    ConfigurationNotFound,
+    StateBudgetExceeded,
+)
+from negotiations.model import Negotiation, enabled_actions, enabled_nodes, step
+from negotiations.soundness import SemanticSoundness
+from negotiations.teacher import NEGATIVE, POSITIVE, EquivAnswer
 
 
 def trace_closure(alpha, w):
@@ -158,3 +165,135 @@ def language_upto(n: Negotiation, max_len: int):
         if not frontier:
             break
     return out
+
+
+# -- configuration-space searches by `enabled_actions` and `step` -------------
+# The successor kernel's searches (model.configuration_graph, model.compute_I,
+# soundness.is_sound_semantic, Teacher._product_search) must agree with these,
+# vertex order, edges, counterexamples and raised errors included.
+
+
+def stepwise_configuration_graph(n: Negotiation, budget: int = 10**6):
+    """(vertices in BFS order, edges) over Configurations."""
+    init = n.initial_configuration()
+    seen = {init}
+    order = [init]
+    edges = {}
+    queue = deque([init])
+    while queue:
+        c = queue.popleft()
+        outs = []
+        for a in enabled_actions(n, c):
+            c2 = step(n, c, a)
+            outs.append((a, c2))
+            if c2 not in seen:
+                seen.add(c2)
+                if len(seen) > budget:
+                    raise StateBudgetExceeded(
+                        f"configuration graph exceeds {budget} vertices"
+                    )
+                order.append(c2)
+                queue.append(c2)
+        edges[c] = tuple(outs)
+    return tuple(order), edges
+
+
+def stepwise_is_sound(n: Negotiation, budget: int = 10**6) -> SemanticSoundness:
+    vertices, edges = stepwise_configuration_graph(n, budget)
+    fin = n.final_configuration()
+    pred = {}
+    for c, outs in edges.items():
+        for _, c2 in outs:
+            pred.setdefault(c2, []).append(c)
+    coreach = set()
+    if fin in edges:
+        coreach.add(fin)
+        queue = deque([fin])
+        while queue:
+            c = queue.popleft()
+            for c0 in pred.get(c, ()):
+                if c0 not in coreach:
+                    coreach.add(c0)
+                    queue.append(c0)
+    stuck = [c for c in vertices if c not in coreach]
+    if stuck:
+        dead = next((c for c in stuck if not edges[c]), None)
+        return SemanticSoundness(False, dead if dead is not None else stuck[0])
+    return SemanticSoundness(True, None)
+
+
+def stepwise_compute_I(n: Negotiation, node, budget: int = 10**6, reverse_ties: bool = False):
+    init = n.initial_configuration()
+    seen = {init}
+    queue = deque([init])
+    found = None
+    while queue:
+        c = queue.popleft()
+        if enabled_nodes(n, c) == {node}:
+            if found is not None and found != c:
+                raise AmbiguousConfiguration(
+                    f"two configurations enable exactly {node!r}: {found} and {c}"
+                )
+            if found is None:
+                found = c
+        acts = enabled_actions(n, c)
+        if reverse_ties:
+            acts = list(reversed(acts))
+        for a in acts:
+            c2 = step(n, c, a)
+            if c2 not in seen:
+                seen.add(c2)
+                if len(seen) > budget:
+                    raise StateBudgetExceeded(
+                        f"configuration search exceeds {budget} vertices"
+                    )
+                queue.append(c2)
+    if found is None:
+        raise ConfigurationNotFound(f"no reachable configuration enables exactly {node!r}")
+    return found
+
+
+def stepwise_product_search(t: Negotiation, h: Negotiation, budget: int = 10**6) -> EquivAnswer:
+    """BFS over the product of two configuration graphs, None being the dead
+    side; actions in declared order, so the shortest, least word first."""
+    t_fin = t.final_configuration()
+    h_fin = h.final_configuration()
+    start = (t.initial_configuration(), h.initial_configuration())
+    parent = {start: None}
+    order = deque([start])
+
+    def word_of(state):
+        parts = []
+        while parent[state] is not None:
+            state, a = parent[state]
+            parts.append(a)
+        return tuple(reversed(parts))
+
+    def differs(state):
+        c1, c2 = state
+        return (c1 == t_fin) != (c2 == h_fin)
+
+    if differs(start):
+        sign = POSITIVE if start[0] == t_fin else NEGATIVE
+        return EquivAnswer(False, sign, ())
+    while order:
+        state = order.popleft()
+        c1, c2 = state
+        acts1 = set(enabled_actions(t, c1)) if c1 is not None else set()
+        acts2 = set(enabled_actions(h, c2)) if c2 is not None else set()
+        for a in t.alphabet.actions:
+            if a not in acts1 and a not in acts2:
+                continue
+            n1 = step(t, c1, a) if a in acts1 else None
+            n2 = step(h, c2, a) if a in acts2 else None
+            nxt = (n1, n2)
+            if nxt in parent:
+                continue
+            parent[nxt] = (state, a)
+            if len(parent) > budget:
+                raise StateBudgetExceeded(f"equivalence product exceeds {budget} states")
+            if differs(nxt):
+                sign = POSITIVE if n1 == t_fin else NEGATIVE
+                return EquivAnswer(False, sign, word_of(nxt))
+            order.append(nxt)
+    return EquivAnswer(True)

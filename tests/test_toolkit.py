@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from negotiations.errors import ParseError
+from negotiations import cli, soundness
+from negotiations.errors import ParseError, StateBudgetExceeded
 from negotiations.formats import (
     export_dot,
     format_local_word,
@@ -227,6 +228,21 @@ class TestCli:
     def test_io_error(self):
         code, _, err = run_cli("validate", "/nonexistent/x.json")
         assert code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["sound", "{f}"], ["equiv", "{f}", "{f}"], ["minimize", "{f}", "-o", "{o}"],
+        ["learn", "{f}", "--mode", "exec"],
+    ])
+    def test_budget_exceeded_is_undecided(self, command, fork_file, tmp_path, monkeypatch, capsys):
+        """A search out of budget is neither "true" (0) nor "false" (1)."""
+        def out_of_budget(n, budget=None):
+            raise StateBudgetExceeded("configuration graph exceeds 100 vertices")
+
+        monkeypatch.setattr(soundness, "is_sound_semantic", out_of_budget)
+        argv = [arg.format(f=fork_file, o=tmp_path / "out.json") for arg in command]
+        assert cli.main(argv) == cli.EXIT_UNDECIDED == 3
+        err = capsys.readouterr().err
+        assert err.startswith("undecided:") and "exceeds 100 vertices" in err
 
     def test_learn_roundtrip_gen(self, tmp_path):
         gen_path = tmp_path / "g.json"
