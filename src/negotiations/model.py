@@ -14,6 +14,9 @@ reads `delta` once, in O(|delta|). Expanding a configuration then costs
 O(d*k + s*|P|) for its d distinct occupied nodes, domains of at most k
 processes and s successors: no scan of all nodes, no `Configuration` built
 per step, and tuple hashes instead of dataclass hashes in the visited sets.
+At a configuration where a move that only an invalid negotiation has is
+fireable, the kernel raises `CheckedMove` and the search expands that
+configuration by `enabled_actions` and `step` instead.
 """
 
 from __future__ import annotations
@@ -377,28 +380,62 @@ def member_path(n: Negotiation, pi) -> bool:
         return False
 
 
-def _presence_table(n: Negotiation, payload: dict) -> dict:
-    """node m -> (get, want, payload[m]) for the nodes of `payload`, where
-    get(nodes) == want exactly when every process of dnode(m) sits at m in
-    the node tuple `nodes`."""
-    pos = {p: i for i, p in enumerate(n.alphabet.processes)}
-    table = {}
-    for m, value in payload.items():
-        idx = [pos[p] for p in n.dnode[m]]
-        table[m] = (itemgetter(*idx), m if len(idx) == 1 else (m,) * len(idx), value)
-    return table
+class CheckedMove(Exception):
+    """Raised by a successor kernel at a configuration where a move that
+    only an invalid negotiation has (dom(a) not a subset of dnode(m)) is
+    fireable. The searches catch it and expand that configuration with
+    `enabled_actions` and `step`, the reference semantics."""
 
 
-def _enabled_in(table: dict, nodes: tuple) -> list:
-    """The payloads of the table's nodes that are enabled in the node tuple
+def _expansion(n: Negotiation):
+    """`expand(nodes) -> (enabled nodes, moves)` over node tuples; the
+    kernel behind `successor_function` and `compute_I`.
+
+    A node is enabled when every process of its domain sits at it in
     `nodes`. Only the distinct nodes occurring in `nodes` are looked at: a
-    node elsewhere holds none of its processes, so it is not enabled."""
-    out = []
-    for m in set(nodes):
-        entry = table.get(m)
-        if entry is not None and entry[0](nodes) == entry[1]:
-            out.append(entry[2])
-    return out
+    node elsewhere holds none of its processes. A move (m, a) with dom(a) a
+    subset of dnode(m), the only kind a valid negotiation has, fires by
+    writing its precomputed targets; any other fireable move raises
+    `CheckedMove`.
+    """
+    procs = n.alphabet.processes
+    pos = {p: i for i, p in enumerate(procs)}
+    # node -> (get, want, [(action index, action, targets or None)]), where
+    # get(nodes) == want exactly when the node is enabled
+    table = {}
+    for m in n.nodes:
+        idx = [pos[p] for p in n.dnode[m]]
+        moves = []
+        for a in n.out(m):
+            dom = n.alphabet.dom[a]
+            if not all((m, a, p) in n.delta for p in dom):
+                continue
+            checked = not n.alphabet.dom_set(a) <= n.dnode_set(m)
+            targets = None if checked else tuple((pos[p], n.delta[(m, a, p)]) for p in dom)
+            moves.append((n.alphabet.action_index(a), a, targets))
+        table[m] = (itemgetter(*idx), m if len(idx) == 1 else (m,) * len(idx), moves)
+
+    def expand(nodes: tuple):
+        enabled = []
+        fireable = []
+        for m in set(nodes):
+            get, want, moves = table[m]
+            if get(nodes) == want:
+                enabled.append(m)
+                fireable += moves
+        if len(enabled) > 1:  # concurrent nodes: merge their moves into action order
+            fireable.sort(key=itemgetter(0))
+        out = []
+        for _, a, targets in fireable:
+            if targets is None:
+                raise CheckedMove(a)
+            nxt = list(nodes)
+            for i, t in targets:
+                nxt[i] = t
+            out.append((a, tuple(nxt)))
+        return enabled, out
+
+    return expand
 
 
 def successor_function(n: Negotiation):
@@ -408,57 +445,20 @@ def successor_function(n: Negotiation):
     fireable in the configuration whose node tuple (declared process order)
     is `nodes`, in declared action order, each with the node tuple it leads
     to -- `enabled_actions` and `step` without a `Configuration`. `delta` is
-    read once, here; nothing is cached on `n`.
-
-    A move (m, a) with dom(a) a subset of dnode(m), the only kind a valid
-    negotiation has, fires by writing its precomputed targets. Any other
-    move goes through `step` when it fires, so an invalid negotiation raises
-    the same `NotEnabled` as the reference semantics.
+    read once, here; nothing is cached on `n`. On an invalid negotiation
+    `succ` may raise `CheckedMove` (see there).
     """
-    procs = n.alphabet.processes
-    pos = {p: i for i, p in enumerate(procs)}
-    # node -> [(action index, checked, action, targets or None)]; at equal
-    # indices, which only an invalid negotiation has, the unchecked move
-    # sorts first
-    moves = {}
-    for m in n.nodes:
-        for a in n.out(m):
-            dom = n.alphabet.dom[a]
-            if not all((m, a, p) in n.delta for p in dom):
-                continue
-            checked = not n.alphabet.dom_set(a) <= n.dnode_set(m)
-            targets = None if checked else tuple((pos[p], n.delta[(m, a, p)]) for p in dom)
-            moves.setdefault(m, []).append((n.alphabet.action_index(a), checked, a, targets))
-    table = _presence_table(n, moves)
+    expand = _expansion(n)
 
     def succ(nodes: tuple) -> list:
-        found = _enabled_in(table, nodes)
-        if len(found) == 1:
-            fireable = found[0]
-        elif found:  # concurrent nodes: merge their moves into action order
-            fireable = []
-            for ms in found:
-                fireable += ms
-            fireable.sort()
-        else:
-            return []
-        out = []
-        for _, _, a, targets in fireable:
-            if targets is not None:
-                nxt = list(nodes)
-                for i, t in targets:
-                    nxt[i] = t
-                out.append((a, tuple(nxt)))
-            elif not out or out[-1][0] != a:  # an action fireable at two nodes fires once
-                out.append((a, step(n, Configuration(procs, nodes), a).nodes))
-        return out
+        return expand(nodes)[1]
 
     return succ
 
 
 def _stepwise_moves(n: Negotiation, nodes: tuple, reverse: bool = False):
     """The moves of `nodes` by `enabled_actions` and `step`, fired one at a
-    time. A search falls back to this when the kernel raises `NotEnabled`,
+    time. A search falls back to this when the kernel raises `CheckedMove`,
     so a bad move fires exactly where the reference semantics fires it
     (after the moves before it, and their budget checks)."""
     c = Configuration(n.alphabet.processes, nodes)
@@ -511,7 +511,7 @@ def configuration_graph(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> C
     for c in order:  # BFS: `order` grows while it is walked
         try:
             moves = succ(c)
-        except NotEnabled:
+        except CheckedMove:
             moves = _stepwise_moves(n, c)
         outs = []
         for a, c2 in moves:
@@ -536,15 +536,22 @@ def compute_I(n: Negotiation, node, budget: int = DEFAULT_STATE_BUDGET, reverse_
     if node not in set(n.nodes):
         raise ValueError(f"unknown node {node!r}")
     procs = n.alphabet.processes
-    table = _presence_table(n, {m: m for m in n.nodes})
-    succ = successor_function(n)
+    expand = _expansion(n)
     init = n.initial_configuration().nodes
     seen = {init}
     queue = deque([init])
     found = None
     while queue:
         c = queue.popleft()
-        if _enabled_in(table, c) == [node]:
+        try:
+            enabled, moves = expand(c)
+        except CheckedMove:
+            enabled = list(enabled_nodes(n, Configuration(procs, c)))
+            moves = _stepwise_moves(n, c, reverse_ties)
+        else:
+            if reverse_ties:
+                moves.reverse()
+        if enabled == [node]:
             if found is not None and found != c:
                 raise AmbiguousConfiguration(
                     f"two configurations enable exactly {node!r}: "
@@ -552,13 +559,6 @@ def compute_I(n: Negotiation, node, budget: int = DEFAULT_STATE_BUDGET, reverse_
                 )
             if found is None:
                 found = c
-        try:
-            moves = succ(c)
-        except NotEnabled:
-            moves = _stepwise_moves(n, c, reverse_ties)
-        else:
-            if reverse_ties:
-                moves.reverse()
         for a, c2 in moves:
             if c2 not in seen:
                 seen.add(c2)

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import automata, soundness, traces
-from .errors import AlphabetMismatch, NotEnabled, StateBudgetExceeded
+from .errors import AlphabetMismatch, StateBudgetExceeded
 from .model import (
     DEFAULT_STATE_BUDGET,
+    CheckedMove,
     Configuration,
     Negotiation,
     enabled_actions,
@@ -158,7 +159,7 @@ class Teacher:
                 moves2 = dict(succ_h(c2)) if c2 is not _DEAD else {}
                 moves = [(a, moves1.get(a), moves2.get(a))
                          for a in sorted(moves1.keys() | moves2.keys(), key=rank)]
-            except NotEnabled:
+            except CheckedMove:
                 moves = _stepwise_product_moves(t, h, c1, c2)
             for a, n1, n2 in moves:
                 nxt = (n1, n2)
@@ -179,7 +180,7 @@ class Teacher:
 def _stepwise_product_moves(t: Negotiation, h: Negotiation, c1, c2):
     """The product moves of (c1, c2) by `enabled_actions` and `step`, fired
     one action at a time, target side first. The search falls back to this
-    when a kernel raises `NotEnabled`, so an invalid side raises exactly
+    when a kernel raises `CheckedMove`, so an invalid side raises exactly
     where the reference semantics does."""
     s1 = Configuration(t.alphabet.processes, c1) if c1 is not _DEAD else _DEAD
     s2 = Configuration(h.alphabet.processes, c2) if c2 is not _DEAD else _DEAD
