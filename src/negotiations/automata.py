@@ -16,7 +16,7 @@ from .errors import (
     NoTransition,
     NotDomComplete,
 )
-from .model import DistributedAlphabet, Negotiation
+from .model import DistributedAlphabet, Negotiation, reach
 
 
 @dataclass
@@ -87,22 +87,8 @@ def trim(dfa: PartialDfa) -> PartialDfa:
     for (s, l), t in dfa.delta.items():
         succ.setdefault(s, []).append(t)
         pred.setdefault(t, []).append(s)
-    fwd = {dfa.init}
-    queue = deque([dfa.init])
-    while queue:
-        s = queue.popleft()
-        for t in succ.get(s, ()):
-            if t not in fwd:
-                fwd.add(t)
-                queue.append(t)
-    bwd = set(dfa.finals)
-    queue = deque(dfa.finals)
-    while queue:
-        s = queue.popleft()
-        for t in pred.get(s, ()):
-            if t not in bwd:
-                bwd.add(t)
-                queue.append(t)
+    fwd = reach(lambda s: succ.get(s, ()), [dfa.init])
+    bwd = reach(lambda s: pred.get(s, ()), dfa.finals)
     keep = (fwd & bwd) | {dfa.init}
     return PartialDfa(
         alphabet=dfa.alphabet,
@@ -268,39 +254,6 @@ def minimize_negotiation(n: Negotiation) -> Negotiation:
     """The canonical minimal negotiation with the same language (for sound
     deterministic input)."""
     return negotiation_from_dfa(minimize(paths_dfa(n)))
-
-
-def homomorphism(n: Negotiation, m: Negotiation):
-    """Node map n -> m sending each node to the state its access path reaches
-    in m; returns None when the map fails to preserve labeled transitions
-    (a bug signal, given m = minimize_negotiation(n))."""
-    access = {n.init: ()}
-    queue = deque([n.init])
-    edges = {}
-    for (src, a, p), t in sorted(n.delta.items()):
-        edges.setdefault(src, []).append(((a, p), t))
-    while queue:
-        s = queue.popleft()
-        for letter, t in edges.get(s, ()):
-            if t not in access:
-                access[t] = access[s] + (letter,)
-                queue.append(t)
-    mapping = {}
-    for node in n.nodes:
-        if node not in access:
-            return None
-        cur = m.init
-        for (a, p) in access[node]:
-            cur = m.delta.get((cur, a, p))
-            if cur is None:
-                return None
-        mapping[node] = cur
-    for (src, a, p), t in n.delta.items():
-        if m.delta.get((mapping[src], a, p)) != mapping[t]:
-            return None
-    if mapping[n.init] != m.init or mapping[n.fin] != m.fin:
-        return None
-    return mapping
 
 
 def neg_equiv(n1: Negotiation, n2: Negotiation) -> bool:

@@ -84,12 +84,8 @@ def cmd_equiv(args) -> int:
     if n1.alphabet != n2.alphabet:
         print("different alphabets", file=sys.stderr)
         return EXIT_FALSE
-    if soundness.is_sound_semantic(n1).sound and soundness.is_sound_semantic(n2).sound:
-        equal = automata.neg_equiv(n1, n2)
-    else:
-        # unsound inputs go through the configuration-graph product oracle
-        answer = Teacher(n1).equiv_query(n2)
-        equal = answer.equivalent
+    # minimal path DFAs when both sides are sound, else the product search
+    equal = Teacher(n1).equiv_query(n2).equivalent
     print("equivalent" if equal else "not equivalent")
     return EXIT_OK if equal else EXIT_FALSE
 

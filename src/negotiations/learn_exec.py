@@ -5,7 +5,8 @@ Nodes and tests are Mazurkiewicz traces; transitions carry trace supports
 S(u,b,p) (a (b,p)-step standing in for the progress the other processes make
 while p crosses the transition). Counterexample analysis walks replayed
 hypothesis paths backwards, and soundness is restored from pattern witnesses
-before every equivalence query.
+before every equivalence query. The table, the bisection and the round
+loop are the shared core in `learner`.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from .errors import (
     NoSplit,
     Unclassifiable,
 )
-from .model import Negotiation, empty_negotiation, validate
+from .learner import ROUND_CAP, Hypothesis, Learner, flip_index
+from .model import Negotiation, validate
 from .teacher import POSITIVE, Teacher
-
-_ROUND_CAP = 100_000
-FRESH_FIN = "qf"
 
 # which side of the descent invariant currently fails its test
 NODE_REJECTS = "node-rejects"
@@ -54,102 +53,52 @@ class TargetInstance:
     r: tuple
 
 
-@dataclass
-class ExecHypothesis:
-    negotiation: Negotiation
-    id_of: dict
-    word_of: dict
-    fin_id: str
+class ExecLearner(Learner):
+    BOOTSTRAP_LOG = {"sound_hypothesis": False, "bootstrap": True}
+    ROUND_LOG = {"sound_hypothesis": True}
 
-
-class ExecLearner:
     def __init__(self, teacher: Teacher, debug: bool = False, log: list | None = None):
-        self.teacher = teacher
-        self.alpha = teacher.target.alphabet
-        self.debug = debug
-        self.log = log if log is not None else []
-        self.q = []
-        self.tests = []
+        super().__init__(teacher, debug, log)
+        self._query = teacher.member_exec_query
         self.supports = {}
 
-    # -- plumbing ------------------------------------------------------------
+    # in this class's own namespace, where bench/tracer.py wraps them
+    find_rep = Learner.find_rep
+    restore_closure = Learner.restore_closure
 
     def canon(self, w) -> tuple:
         return traces.normal_form(self.alpha, tuple(w))
 
-    def member(self, *parts) -> bool:
-        word = tuple(a for part in parts for a in part)
-        return self.teacher.member_exec_query(word)
-
-    def equiv_t(self, u, v) -> bool:
-        return all(self.member(u, t) == self.member(v, t) for t in self.tests)
-
-    def find_rep(self, word):
-        for v in self.q:
-            if self.equiv_t(word, v):
-                return v
-        return None
-
-    def add_state(self, word):
-        word = self.canon(word)
-        if word in set(self.q):
-            raise InvariantViolation(f"state {word} added twice")
-        self.q.append(word)
-
-    def add_test(self, t):
-        t = self.canon(t)
+    def check_test(self, t):
         if t and not traces.is_coprime(self.alpha, t):
             raise InvariantViolation(f"test {t} is not co-prime")
-        if t not in self.tests:
-            self.tests.append(t)
+
+    def transitions(self):
+        for (u, b, p), s in self.supports.items():
+            yield u, (b, p), u + s
 
     def out_of(self, u) -> set:
         return {b for (v, b, _) in self.supports if v == u}
 
     # -- hypothesis ----------------------------------------------------------
 
-    def build_hypothesis(self) -> ExecHypothesis:
-        finals = [u for u in self.q if self.member(u)]
-        if len(finals) > 1:
-            raise InvariantViolation(f"two accepted nodes: {finals[:2]}")
+    def build_hypothesis(self) -> Hypothesis:
+        final = self.final_word()
         id_of = {u: f"q{i}" for i, u in enumerate(self.q)}
-        full = tuple(self.alpha.processes)
         dnode = {}
         for u in self.q:
-            if finals and u == finals[0]:
-                dnode[id_of[u]] = full
+            if u == final:
                 continue
-            t = next((t for t in self.tests if t and self.member(u, t)), None)
+            t = self.passing_test(u)
             if t is None:
                 raise InvariantViolation(f"Pref broken: no passing test for {u}")
             head = traces.min_action(self.alpha, t)
             dnode[id_of[u]] = self.alpha.dom[head]
-        delta = {}
-        for (u, b, p), s in self.supports.items():
-            rep = self.find_rep(u + s)
-            if rep is None:
-                raise InvariantViolation(f"Closure broken at {u} + {s}")
-            delta[(id_of[u], b, p)] = id_of[rep]
-        nodes = tuple(id_of[u] for u in self.q)
-        if finals:
-            fin_id = id_of[finals[0]]
-        else:
-            fin_id = FRESH_FIN
-            nodes = nodes + (fin_id,)
-            dnode[fin_id] = full
-        neg = Negotiation(
-            alphabet=self.alpha,
-            nodes=nodes,
-            dnode=dnode,
-            delta=delta,
-            init=id_of[self.q[0]],
-            fin=fin_id,
-        )
-        problems = validate(neg)
+        hyp = self.assemble(id_of, dnode, self.transition_delta(id_of), final)
+        problems = validate(hyp.negotiation)
         if problems:
             raise InvariantViolation("hypothesis fails validation: " + "; ".join(problems))
-        word_of = {i: u for u, i in id_of.items()}
-        return ExecHypothesis(neg, id_of, word_of, fin_id)
+        return hyp
 
     # -- the two extension operations ----------------------------------------
 
@@ -188,30 +137,9 @@ class ExecLearner:
             "test": list(r),
         })
 
-    def restore_closure(self) -> int:
-        added = 0
-        for (u, b, p), s in list(self.supports.items()):
-            if self.find_rep(u + s) is None:
-                self.add_state(u + s)
-                added += 1
-        if added:
-            self.log.append({"event": "closure", "added": added})
-        return added
+    # -- support paths and binary search ---------------------------------------
 
-    # -- walks and binary search ----------------------------------------------
-
-    def _walk(self, hyp: ExecHypothesis, letters):
-        """Nodes (as Q words) of the hypothesis walk from init along letters."""
-        words = [self.q[0]]
-        for (a, p) in letters:
-            nid = hyp.id_of[words[-1]]
-            nxt = hyp.negotiation.delta.get((nid, a, p))
-            if nxt is None:
-                return None
-            words.append(hyp.word_of[nxt])
-        return words
-
-    def support_concat(self, hyp: ExecHypothesis, letters):
+    def support_concat(self, hyp: Hypothesis, letters):
         """Concatenation of the stored supports along a hypothesis local
         path from the initial node; co-prime for nonempty paths, and its
         projection onto a pure p-path's process is the path's action word."""
@@ -239,18 +167,12 @@ class ExecLearner:
         def g(i):
             return self.member(words[i], tails[i])
 
-        lo, hi = 0, k
-        g_lo, g_hi = g(lo), g(hi)
+        g_lo, g_hi = g(0), g(k)
         if g_lo == g_hi:
             raise NoSplit("path endpoints agree")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if g(mid) == g_lo:
-                lo = mid
-            else:
-                hi = mid
-        a, p = letters[lo]
-        return TargetInstance(words[lo], a, p, words[hi], self.canon(tails[hi]))
+        i = flip_index(g, 0, k, g_lo)
+        a, p = letters[i]
+        return TargetInstance(words[i], a, p, words[i + 1], self.canon(tails[i + 1]))
 
     def _distinguishing_test(self, u, sigma, anchor):
         """A test splitting u from sigma that path_binary_search can consume:
@@ -268,41 +190,34 @@ class ExecLearner:
 
     # -- counterexample handling ------------------------------------------------
 
-    def handle_negative(self, hyp: ExecHypothesis, w) -> TargetInstance:
+    def handle_negative(self, hyp: Hypothesis, w) -> TargetInstance:
         for p in self.alpha.processes:
             letters = traces.projection(self.alpha, w, p)
             words = self._walk(hyp, letters)
             if words is None:
                 raise LearnerBug("negative counterexample projection leaves the hypothesis")
-            sigma = tuple(a for s in self._support_seq(words, letters) for a in s)
-            if not self.member(sigma):
+            if not self.member(self._sigma(words, letters)):
                 return self.path_binary_search(words, letters, ())
         raise NoDefectiveProjection(
             "all projection supports accepted for a negative counterexample"
         )
 
-    def handle_positive(self, hyp: ExecHypothesis, w):
+    def handle_positive(self, hyp: Hypothesis, w):
         pre = traces.max_executable_prefix(hyp.negotiation, w)
         if not pre.remainder:
             return self._positive_complete(hyp, pre)
         return self._positive_stuck(hyp, pre)
 
-    def _positive_complete(self, hyp: ExecHypothesis, pre):
+    def _positive_complete(self, hyp: Hypothesis, pre):
         """Counterexample fully executable but the end is not final."""
-        anchor = next(
-            (p for p in self.alpha.processes if pre.end.node_of(p) != hyp.fin_id),
-            None,
-        )
-        if anchor is None:
-            raise Unclassifiable("positive counterexample accepted by the hypothesis")
+        anchor = self.stranded_process(hyp, pre)
         words, letters = self._history_walk(hyp, pre.history[anchor], anchor)
-        sigma = tuple(a for s in self._support_seq(words, letters) for a in s)
-        t = self._distinguishing_test(words[-1], sigma, anchor)
+        t = self._distinguishing_test(words[-1], self._sigma(words, letters), anchor)
         if t is None:
             raise Unclassifiable("no usable test splits the stranded node from its supports")
         return self.path_binary_search(words, letters, t)
 
-    def _history_walk(self, hyp: ExecHypothesis, entries, process):
+    def _history_walk(self, hyp: Hypothesis, entries, process):
         words = [self.q[0]]
         letters = []
         for (src, a, dst) in entries:
@@ -312,19 +227,13 @@ class ExecLearner:
             letters.append((a, process))
         return words, letters
 
-    def _positive_stuck(self, hyp: ExecHypothesis, pre):
+    def _positive_stuck(self, hyp: Hypothesis, pre):
         rem = pre.remainder
-        mins = traces.minimal_actions(self.alpha, rem)
-        b = min(mins, key=self.alpha.action_index)
-        e = next(
-            i
-            for i in traces.minimal_event_indices(self.alpha, rem)
-            if rem[i] == b
-        )
+        b, node_of = self.stuck_action(pre)
+        e = next(i for i in traces.minimal_event_indices(self.alpha, rem) if rem[i] == b)
         v2, br2 = traces.upward_closure_split(self.alpha, rem, e)
         v = pre.prefix + v2
         br2 = self.canon(br2)
-        node_of = {p: pre.end.node_of(p) for p in self.alpha.dom[b]}
         for p in self.alpha.dom[b]:
             u_p = hyp.word_of[node_of[p]]
             if not self.member(u_p, br2):
@@ -332,19 +241,7 @@ class ExecLearner:
                                      anchor=p, companion=None)
             if b not in self.out_of(u_p):
                 return AbsentTransE(u_p, br2)
-        procs = self.alpha.dom[b]
-        pair = next(
-            ((p1, p2) for i, p1 in enumerate(procs) for p2 in procs[i + 1 :]
-             if node_of[p1] != node_of[p2]),
-            None,
-        )
-        if pair is None:
-            raise Unclassifiable("action disabled although all its processes share a node")
-        p1, p2 = pair
-        u1, u2 = hyp.word_of[node_of[p1]], hyp.word_of[node_of[p2]]
-        t = next((t for t in self.tests if self.member(u1, t) != self.member(u2, t)), None)
-        if t is None:
-            raise Unclassifiable(f"Uniqueness broken: {u1} vs {u2}")
+        p1, u1, p2, u2, t = self.scattered_split(hyp, node_of)
         if not t:
             raise Unclassifiable("empty test distinguishes two non-final nodes")
         mv = self.member(v, t)
@@ -360,7 +257,7 @@ class ExecLearner:
         return self._descend(hyp, pre, TRACE_REJECTS, v=v, u=u_a, t=t,
                              anchor=anchor, companion=br2)
 
-    def _descend(self, hyp: ExecHypothesis, pre, mismatch, v, u, t, anchor, companion):
+    def _descend(self, hyp: Hypothesis, pre, mismatch, v, u, t, anchor, companion):
         """Backwards descent over the anchor's replayed path.
 
         Invariants per level: the anchor sits at node `u` after replaying the
@@ -423,7 +320,7 @@ class ExecLearner:
 
     # -- soundness repairs -------------------------------------------------------
 
-    def make_sound(self, hyp: ExecHypothesis):
+    def make_sound(self, hyp: Hypothesis):
         """None when the hypothesis is sound; otherwise an extension instance
         derived from a pattern witness."""
         sem = soundness.is_sound_semantic(hyp.negotiation)
@@ -441,7 +338,7 @@ class ExecLearner:
     def _sigma(self, words, letters):
         return tuple(a for s in self._support_seq(words, letters) for a in s)
 
-    def _try_split_path(self, hyp: ExecHypothesis, letters, anchor):
+    def _try_split_path(self, hyp: Hypothesis, letters, anchor):
         """Target instance when the endpoint of the walked path is not
         trace-equivalent to its support concatenation."""
         words = self._walk(hyp, letters)
@@ -453,7 +350,7 @@ class ExecLearner:
             return None
         return self.path_binary_search(words, letters, t)
 
-    def _convert_f(self, hyp: ExecHypothesis, w):
+    def _convert_f(self, hyp: Hypothesis, w):
         prefix = tuple(w.access_path)
         if prefix:
             inst = self._try_split_path(hyp, prefix, prefix[-1][1])
@@ -470,7 +367,7 @@ class ExecLearner:
                     return inst
         raise NoRepairFound("fork witness produced no splittable prefix")
 
-    def _convert_c(self, hyp: ExecHypothesis, w):
+    def _convert_c(self, hyp: Hypothesis, w):
         entry = tuple(w.entry_path)
         cycle = tuple(w.cycle_path)
         if entry:
@@ -487,7 +384,7 @@ class ExecLearner:
             k *= 2
         raise NoRepairFound("cycle witness stayed consistent past the iteration cap")
 
-    def _convert_b(self, hyp: ExecHypothesis, w):
+    def _convert_b(self, hyp: Hypothesis, w):
         p = w.process
         prefix = tuple(w.access_path)
         if prefix:
@@ -495,9 +392,8 @@ class ExecLearner:
             if inst is not None:
                 return inst
         words = self._walk(hyp, prefix)
-        u = words[-1]
-        sigma = self._sigma(words, prefix)
-        t_pass = next((t for t in self.tests if t and self.member(u, t)), None)
+        u, sigma = words[-1], self._sigma(words, prefix)
+        t_pass = self.passing_test(u)
         if t_pass is None:
             raise NoRepairFound("blocked node has no nonempty passing test")
         chunks = self._p_chunks(t_pass, p)
@@ -520,14 +416,29 @@ class ExecLearner:
             walked_words.append(hyp.word_of[nxt])
             walked_letters.append((a_i, p))
         if boundary is None:
-            full_letters = prefix + tuple(walked_letters)
-            inst = self._try_split_path(hyp, full_letters, p)
+            inst = self._try_split_path(hyp, prefix + tuple(walked_letters), p)
             if inst is not None:
                 return inst
-            return self._b_hybrid_scan(hyp, prefix, walked_words, walked_letters,
-                                       chunks, suffix_words, p)
-        return self._b_pure_scan(hyp, prefix, walked_words, walked_letters,
-                                 chunks, suffix_words, p, boundary)
+            # flip scan over sigma-prefixed hybrid words
+            walk_supports = self._support_seq(walked_words, walked_letters)
+            hi = len(walked_letters)
+
+            def g(i):
+                return self.member(sigma, *walk_supports[:i], suffix_words[i])
+        else:
+            # flip scan over the walked-node words, up to where the walk stopped
+            hi = boundary
+
+            def g(i):
+                return self.member(walked_words[i], suffix_words[i])
+
+        g_lo, g_hi = g(0), g(hi)
+        if boundary is None and (not g_lo or g_hi):
+            raise NoRepairFound("blocking witness hybrid endpoints out of shape")
+        if g_lo == g_hi:
+            raise NoRepairFound("blocking witness produced equal endpoints")
+        return self._b_flip_case(hyp, prefix, walked_words, walked_letters,
+                                 suffix_words, p, flip_index(g, 0, hi, g_lo))
 
     def _p_chunks(self, t, p):
         """Decompose a co-prime test with p minimal into chunks anchored at
@@ -544,162 +455,79 @@ class ExecLearner:
             chunks.append(tuple(t[j] for j in range(len(t)) if j in keep))
         return chunks
 
-    def _b_hybrid_scan(self, hyp, prefix, walked_words, walked_letters,
-                       chunks, suffix_words, p):
-        """Flip scan over sigma-prefixed hybrid words (full-walk case)."""
-        k = len(walked_letters)
-        entry_words = self._walk(hyp, prefix)
-        sigma0 = self._sigma(entry_words, prefix)
-        walk_supports = self._support_seq(walked_words, walked_letters)
-
-        def h(i):
-            sig = sigma0 + tuple(a for s in walk_supports[:i] for a in s)
-            return self.member(sig, suffix_words[i])
-
-        lo, hi = 0, k
-        h_lo, h_hi = h(lo), h(hi)
-        if not h_lo or h_hi:
-            raise NoRepairFound("blocking witness hybrid endpoints out of shape")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if h(mid) == h_lo:
-                lo = mid
-            else:
-                hi = mid
-        return self._b_flip_case(hyp, prefix, walked_words, walked_letters,
-                                 chunks, suffix_words, p, lo)
-
-    def _b_pure_scan(self, hyp, prefix, walked_words, walked_letters,
-                     chunks, suffix_words, p, boundary):
-        """Flip scan over the walked-node words (truncated-walk case)."""
-
-        def f(i):
-            return self.member(walked_words[i], suffix_words[i])
-
-        lo, hi = 0, boundary
-        f_lo, f_hi = f(lo), f(hi)
-        if f_lo == f_hi:
-            raise NoRepairFound("blocking witness produced equal endpoints")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if f(mid) == f_lo:
-                lo = mid
-            else:
-                hi = mid
-        return self._b_flip_case(hyp, prefix, walked_words, walked_letters,
-                                 chunks, suffix_words, p, lo)
-
-    def _b_flip_case(self, hyp, prefix, walked_words, walked_letters,
-                     chunks, suffix_words, p, i):
+    def _b_flip_case(self, hyp, prefix, walked_words, walked_letters, suffix_words, p, i):
         """Resolve a flip between positions i and i+1 of the chunk walk into
         a Target instance (possibly via the suffix-exchange argument)."""
-        a_next = walked_letters[i][0]
         if not self.member(walked_words[i], suffix_words[i]):
-            letters = prefix + tuple(walked_letters[:i])
+            letters, r = prefix + tuple(walked_letters[:i]), suffix_words[i]
             if not letters:
                 raise NoRepairFound("flip at the walk's origin")
-            return self.path_binary_search(
-                self._walk(hyp, letters), letters, self.canon(suffix_words[i])
-            )
-        if self.member(walked_words[i + 1], suffix_words[i + 1]):
-            letters = prefix + tuple(walked_letters[: i + 1])
-            return self.path_binary_search(
-                self._walk(hyp, letters), letters, self.canon(suffix_words[i + 1])
-            )
-        r = suffix_words[i + 1]
-        if not r:
-            raise NoRepairFound("suffix-exchange case degenerated to an empty test")
-        s = self.supports[(walked_words[i], a_next, p)]
-        if not self.member(walked_words[i], s, r):
-            raise NoRepairFound("exchanged suffix failed to verify")
-        return TargetInstance(walked_words[i], a_next, p, walked_words[i + 1],
-                              self.canon(r))
+        elif self.member(walked_words[i + 1], suffix_words[i + 1]):
+            letters, r = prefix + tuple(walked_letters[: i + 1]), suffix_words[i + 1]
+        else:
+            r = suffix_words[i + 1]
+            if not r:
+                raise NoRepairFound("suffix-exchange case degenerated to an empty test")
+            a_next = walked_letters[i][0]
+            s = self.supports[(walked_words[i], a_next, p)]
+            if not self.member(walked_words[i], s, r):
+                raise NoRepairFound("exchanged suffix failed to verify")
+            return TargetInstance(walked_words[i], a_next, p, walked_words[i + 1], self.canon(r))
+        return self.path_binary_search(self._walk(hyp, letters), letters, self.canon(r))
 
     # -- invariants ---------------------------------------------------------------
 
-    def verify_invariants(self):
-        for i, u in enumerate(self.q):
-            for v in self.q[i + 1 :]:
-                if self.equiv_t(u, v):
-                    raise InvariantViolation(f"Uniqueness: {u} == {v} under T")
-        for u in self.q:
-            if not any(self.member(u, t) for t in self.tests):
-                raise InvariantViolation(f"Pref: {u} has no passing test")
+    def verify_table(self):
+        self.check_pref()
         for (u, b, p), s in self.supports.items():
             for qq in self.alpha.dom[b]:
                 if (u, b, qq) not in self.supports:
                     raise InvariantViolation(f"Domain: S({u},{b},{qq}) missing")
-            ok = False
-            for t in self.tests:
-                if self.member(u, s, t) and (not t or p in traces.dmin(self.alpha, t)):
-                    ok = True
-                    break
-            if not ok:
+            if not any(self.member(u, s, t) and (not t or p in traces.dmin(self.alpha, t))
+                       for t in self.tests):
                 raise InvariantViolation(f"Pref': no suitable test after S({u},{b},{p})")
             if self.find_rep(u + s) is None:
                 raise InvariantViolation(f"Closure: {u} + {s} has no representative")
             if not traces.is_step(self.alpha, s, b, p):
                 raise InvariantViolation(f"support S({u},{b},{p}) = {s} is not a step")
         for t in self.tests:
-            if t and not traces.is_coprime(self.alpha, t):
-                raise InvariantViolation(f"test {t} is not co-prime")
-        self.log.append({"event": "invariants", "ok": True})
+            self.check_test(t)
+
+    # -- round hooks --------------------------------------------------------------
+
+    def bootstrap(self, w):
+        w = self.canon(w)
+        self.add_state(())
+        self.add_test(())
+        self.add_test(w)
+        self.out_extend(AbsentTransE((), w))
+
+    def next_hypothesis(self) -> Hypothesis:
+        """Build the hypothesis and repair it until it is sound."""
+        hyp = self.build_hypothesis()
+        for _ in range(ROUND_CAP):
+            repair = self.make_sound(hyp)
+            if repair is None:
+                return hyp
+            self.apply(repair)
+            self.settle()
+            hyp = self.build_hypothesis()
+        raise LearnerBug("soundness repairs failed to converge")
+
+    def counterexample(self, hyp: Hypothesis, sign: str, w):
+        if sign == POSITIVE:
+            self.apply(self.handle_positive(hyp, w))
+        else:
+            self.apply(self.handle_negative(hyp, w))
+
+    def apply(self, inst):
+        if isinstance(inst, AbsentTransE):
+            self.out_extend(inst)
+        else:
+            self.target_extend(inst)
 
 
 def learn(teacher: Teacher, debug: bool = False, log: list | None = None) -> Negotiation:
     """Main loop of the execution-only learner: bootstrap, then repair the
     hypothesis to soundness before every equivalence query."""
-    learner = ExecLearner(teacher, debug=debug, log=log)
-    empty = empty_negotiation(teacher.target.alphabet)
-    ans = teacher.equiv_query(empty)
-    learner.log.append({"event": "equiv", "equivalent": ans.equivalent,
-                        "sign": ans.sign, "counterexample": list(ans.word or ()),
-                        "sound_hypothesis": False, "bootstrap": True})
-    if ans.equivalent:
-        return empty
-    if ans.sign != POSITIVE:
-        raise LearnerBug("empty hypothesis produced a negative counterexample")
-    w = learner.canon(ans.word)
-    learner.add_state(())
-    learner.add_test(())
-    learner.add_test(w)
-    learner.out_extend(AbsentTransE((), w))
-    learner.restore_closure()
-    if debug:
-        learner.verify_invariants()
-    for _ in range(_ROUND_CAP):
-        hyp = learner.build_hypothesis()
-        for _ in range(_ROUND_CAP):
-            repair = learner.make_sound(hyp)
-            if repair is None:
-                break
-            _apply(learner, repair)
-            learner.restore_closure()
-            if debug:
-                learner.verify_invariants()
-            hyp = learner.build_hypothesis()
-        else:
-            raise LearnerBug("soundness repairs failed to converge")
-        ans = teacher.equiv_query(hyp.negotiation)
-        learner.log.append({"event": "equiv", "equivalent": ans.equivalent,
-                            "sign": ans.sign, "counterexample": list(ans.word or ()),
-                            "sound_hypothesis": True,
-                            "hypothesis_nodes": len(hyp.negotiation.nodes)})
-        if ans.equivalent:
-            return hyp.negotiation
-        if ans.sign == POSITIVE:
-            inst = learner.handle_positive(hyp, ans.word)
-        else:
-            inst = learner.handle_negative(hyp, ans.word)
-        _apply(learner, inst)
-        learner.restore_closure()
-        if debug:
-            learner.verify_invariants()
-    raise LearnerBug("round cap exceeded without convergence")
-
-
-def _apply(learner: ExecLearner, inst):
-    if isinstance(inst, AbsentTransE):
-        learner.out_extend(inst)
-    else:
-        learner.target_extend(inst)
+    return ExecLearner(teacher, debug=debug, log=log).run()

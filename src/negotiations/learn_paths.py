@@ -4,20 +4,21 @@ queries on local paths.
 The learner keeps (Q, T, out): state words and test words over a@p letters,
 plus the outgoing letters discovered per state. Equivalence counterexamples
 are executions; they are classified into a missing-transition case or a
-state-splitting case, the latter resolved by binary search.
+state-splitting case, the latter resolved by binary search. The table, the
+bisection and the round loop are the shared core in `learner`.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import traces
 from .automata import PartialDfa, negotiation_from_dfa
 from .errors import InvariantViolation, LearnerBug, NoSplit, Unclassifiable
-from .model import Negotiation, empty_negotiation
+from .learner import Hypothesis, Learner, flip_index
+from .model import Negotiation
 from .teacher import POSITIVE, Teacher
-
-_ROUND_CAP = 100_000
 
 
 @dataclass
@@ -34,118 +35,57 @@ class Neq:
     suffix: tuple  # local path pi
 
 
-@dataclass
-class PathHypothesis:
-    negotiation: Negotiation
-    id_of: dict  # Q word -> node id
-    word_of: dict  # node id -> Q word
-    fin_id: str
-
-
-class PathLearner:
+class PathLearner(Learner):
     def __init__(self, teacher: Teacher, debug: bool = False, log: list | None = None):
-        self.teacher = teacher
-        self.alpha = teacher.target.alphabet
-        self.debug = debug
-        self.log = log if log is not None else []
-        self.q = []
-        self.tests = []
-        self.out = {}
+        super().__init__(teacher, debug, log)
+        self._query = teacher.member_path_query
+        self.out = defaultdict(list)  # state word -> outgoing letters found so far
 
-    # -- plumbing ------------------------------------------------------------
+    # in this class's own namespace, where bench/tracer.py wraps them
+    find_rep = Learner.find_rep
+    restore_closure = Learner.restore_closure
 
-    def member(self, w) -> bool:
-        return self.teacher.member_path_query(w)
-
-    def equiv_t(self, u, v) -> bool:
-        return all(self.member(u + t) == self.member(v + t) for t in self.tests)
-
-    def find_rep(self, word):
-        for v in self.q:
-            if self.equiv_t(word, v):
-                return v
-        return None
-
-    def add_test(self, t):
-        t = tuple(t)
-        if t not in self.tests:
-            self.tests.append(t)
-
-    def add_state(self, word):
-        word = tuple(word)
-        if word in self.out:
-            raise InvariantViolation(f"state {word} added twice")
-        self.q.append(word)
-        self.out[word] = []
+    def transitions(self):
+        for u in self.q:
+            for letter in self.out[u]:
+                yield u, letter, u + (letter,)
 
     # -- hypothesis ----------------------------------------------------------
 
-    def build_hypothesis(self) -> PathHypothesis:
-        finals = [u for u in self.q if self.member(u)]
-        if len(finals) > 1:
-            raise InvariantViolation(f"two accepted state words: {finals[:2]}")
+    def build_hypothesis(self) -> Hypothesis:
+        final = self.final_word()
         id_of = {u: f"q{i}" for i, u in enumerate(self.q)}
-        delta = {}
-        for u in self.q:
-            for letter in self.out[u]:
-                rep = self.find_rep(u + (letter,))
-                if rep is None:
-                    raise InvariantViolation(f"Closure broken at {u} + {letter}")
-                delta[(id_of[u], letter)] = id_of[rep]
+        delta = self.transition_delta(id_of)
         hints = {}
         for u in self.q:
-            if u in finals or self.out[u]:
+            if u == final or self.out[u]:
                 continue
-            head = self._pref_head(u)
-            hints[id_of[u]] = self.alpha.dom[head]
-        if finals:
-            fin_id = id_of[finals[0]]
-            dfa = PartialDfa(
-                alphabet=self.alpha,
-                states=tuple(id_of[u] for u in self.q),
-                delta=delta,
-                init=id_of[self.q[0]],
-                finals=frozenset({fin_id}),
-            )
-            neg = negotiation_from_dfa(dfa, dnode_hints=hints)
-        else:
-            # no accepted state word yet: language-empty hypothesis around a
-            # fresh, unreachable final node
-            fin_id = "qf"
-            full = tuple(self.alpha.processes)
-            dnode = {fin_id: full}
-            for u in self.q:
-                nid = id_of[u]
-                if self.out[u]:
-                    dnode[nid] = self.alpha.dom[self.out[u][0][0]]
-                else:
-                    dnode[nid] = hints[nid]
-            neg = Negotiation(
-                alphabet=self.alpha,
-                nodes=tuple(id_of[u] for u in self.q) + (fin_id,),
-                dnode=dnode,
-                delta={(s, a, p): t for (s, (a, p)), t in delta.items()},
-                init=id_of[self.q[0]],
-                fin=fin_id,
-            )
-        word_of = {i: u for u, i in id_of.items()}
-        return PathHypothesis(neg, id_of, word_of, fin_id)
-
-    def _pref_head(self, u) -> str:
-        """Action heading the first nonempty passing test of `u`."""
-        for t in self.tests:
-            if t and self.member(u + t):
-                return t[0][0]
-        raise InvariantViolation(f"Pref broken: no passing test for {u}")
+            t = self.passing_test(u)
+            if t is None:
+                raise InvariantViolation(f"Pref broken: no passing test for {u}")
+            hints[id_of[u]] = self.alpha.dom[t[0][0]]
+        if final is None:
+            dnode = {id_of[u]: self.alpha.dom[self.out[u][0][0]] if self.out[u] else hints[id_of[u]]
+                     for u in self.q}
+            return self.assemble(id_of, dnode, delta, None)
+        dfa = PartialDfa(
+            alphabet=self.alpha,
+            states=tuple(id_of[u] for u in self.q),
+            delta={(s, (a, p)): t for (s, a, p), t in delta.items()},
+            init=id_of[self.q[0]],
+            finals=frozenset({id_of[final]}),
+        )
+        neg = negotiation_from_dfa(dfa, dnode_hints=hints)
+        return Hypothesis(neg, id_of, {i: u for u, i in id_of.items()}, id_of[final])
 
     # -- counterexample analysis ----------------------------------------------
 
-    def classify(self, hyp: PathHypothesis, sign: str, w):
+    def classify(self, hyp: Hypothesis, sign: str, w):
         if sign == POSITIVE:
             return self._classify_positive(hyp, w)
         return self._classify_negative(hyp, w)
 
-    def _classify_negative(self, hyp: PathHypothesis, w):
+    def _classify_negative(self, hyp: Hypothesis, w):
         for p in self.alpha.processes:
             proj = traces.projection(self.alpha, w, p)
             if not self.member(proj):
@@ -154,16 +94,11 @@ class PathLearner:
             "negative counterexample with all projections accepted"
         )
 
-    def _classify_positive(self, hyp: PathHypothesis, w):
+    def _classify_positive(self, hyp: Hypothesis, w):
         pre = traces.max_executable_prefix(hyp.negotiation, w)
         if not pre.remainder:
-            for p in self.alpha.processes:
-                if pre.end.node_of(p) != hyp.fin_id:
-                    return Neq(p, pre.prefix, ())
-            raise Unclassifiable("executable counterexample ends in the final configuration")
-        mins = traces.minimal_actions(self.alpha, pre.remainder)
-        b = min(mins, key=self.alpha.action_index)
-        nodes = {p: pre.end.node_of(p) for p in self.alpha.dom[b]}
+            return Neq(self.stranded_process(hyp, pre), pre.prefix, ())
+        b, nodes = self.stuck_action(pre)
         distinct = sorted(set(nodes.values()))
         if len(distinct) == 1:
             u_word = hyp.word_of[distinct[0]]
@@ -173,19 +108,7 @@ class PathLearner:
                     return Neq(p, pre.prefix, traces.projection(self.alpha, r, p))
             return AbsentTrans(b, u_word, r)
         # processes of dom(b) sit at different hypothesis nodes
-        procs = self.alpha.dom[b]
-        p, q = None, None
-        for i, p1 in enumerate(procs):
-            for p2 in procs[i + 1 :]:
-                if nodes[p1] != nodes[p2]:
-                    p, q = p1, p2
-                    break
-            if p is not None:
-                break
-        u_p, u_q = hyp.word_of[nodes[p]], hyp.word_of[nodes[q]]
-        t = next((t for t in self.tests if self.member(u_p + t) != self.member(u_q + t)), None)
-        if t is None:
-            raise Unclassifiable(f"Uniqueness broken: {u_p} vs {u_q} agree on all tests")
+        p, u_p, q, u_q, t = self.scattered_split(hyp, nodes)
         v = pre.prefix
         if self.member(traces.projection(self.alpha, v, p) + t) != self.member(u_p + t):
             return Neq(p, v, t)
@@ -212,65 +135,31 @@ class PathLearner:
                 self.add_state(cand)
         self.log.append({"event": "absent_trans", "action": b, "state": list(map(list, u)), "word": list(r)})
 
-    def apply_neq(self, hyp: PathHypothesis, inst: Neq):
+    def apply_neq(self, hyp: Hypothesis, inst: Neq):
         p, v, pi = inst.process, inst.executed, inst.suffix
         proj = traces.projection(self.alpha, v, p)
-        nodes = [self.q[0]]
-        for letter in proj:
-            nid = hyp.id_of.get(nodes[-1])
-            nxt = hyp.negotiation.delta.get((nid, letter[0], letter[1]))
-            if nxt is None:
-                raise Unclassifiable(f"projection {proj} leaves the hypothesis at {letter}")
-            nodes.append(hyp.word_of[nxt])
-        k = len(proj)
+        nodes = self._walk(hyp, proj)
+        if nodes is None:
+            raise Unclassifiable(f"projection {proj} leaves the hypothesis")
 
         def g(i):
             return self.member(nodes[i] + proj[i:] + pi)
 
-        lo, hi = 0, k
-        g_lo, g_hi = g(lo), g(hi)
+        g_lo, g_hi = g(0), g(len(proj))
         if g_lo == g_hi:
             raise NoSplit(f"endpoints agree for {proj} + {pi}")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if g(mid) == g_lo:
-                lo = mid
-            else:
-                hi = mid
-        i = lo
+        i = flip_index(g, 0, len(proj), g_lo)
         self.add_test(proj[i + 1 :] + pi)
         self.add_state(nodes[i] + (proj[i],))
         self.log.append({"event": "neq", "process": p, "split_index": i})
 
-    def restore_closure(self) -> int:
-        added = 0
-        idx = 0
-        while idx < len(self.q):
-            u = self.q[idx]
-            for letter in list(self.out[u]):
-                cand = u + (letter,)
-                if self.find_rep(cand) is None:
-                    self.add_state(cand)
-                    added += 1
-            idx += 1
-        if added:
-            self.log.append({"event": "closure", "added": added})
-        return added
-
     # -- invariants -------------------------------------------------------------
 
-    def verify_invariants(self):
-        for i, u in enumerate(self.q):
-            for v in self.q[i + 1 :]:
-                if self.equiv_t(u, v):
-                    raise InvariantViolation(f"Uniqueness: {u} == {v} under T")
-        for u in self.q:
-            for letter in self.out[u]:
-                if self.find_rep(u + (letter,)) is None:
-                    raise InvariantViolation(f"Closure: {u} + {letter} has no representative")
-        for u in self.q:
-            if not any(self.member(u + t) for t in self.tests):
-                raise InvariantViolation(f"Pref: {u} has no passing test")
+    def verify_table(self):
+        for _, _, word in self.transitions():
+            if self.find_rep(word) is None:
+                raise InvariantViolation(f"Closure: {word} has no representative")
+        self.check_pref()
         for u in self.q:
             acts = {}
             for (a, p) in self.out[u]:
@@ -278,44 +167,25 @@ class PathLearner:
             for a, ps in acts.items():
                 if ps != self.alpha.dom_set(a):
                     raise InvariantViolation(f"Domain: out({u}) has partial {a} letters {ps}")
-        self.log.append({"event": "invariants", "ok": True})
+
+    # -- round hooks --------------------------------------------------------------
+
+    def bootstrap(self, w):
+        self.add_state(())
+        for p in self.alpha.processes:
+            self.add_test(traces.projection(self.alpha, w, p))
+        self.apply_absent_trans(AbsentTrans(w[0], (), w))
+
+    def counterexample(self, hyp: Hypothesis, sign: str, w):
+        inst = self.classify(hyp, sign, w)
+        if isinstance(inst, AbsentTrans):
+            self.apply_absent_trans(inst)
+        else:
+            self.apply_neq(hyp, inst)
 
 
 def learn(teacher: Teacher, debug: bool = False, log: list | None = None) -> Negotiation:
     """Main loop of the local-path learner: bootstrap on the empty
     hypothesis, then alternate equivalence queries with counterexample
     processing and closure restoration."""
-    learner = PathLearner(teacher, debug=debug, log=log)
-    empty = empty_negotiation(teacher.target.alphabet)
-    ans = teacher.equiv_query(empty)
-    learner.log.append({"event": "equiv", "equivalent": ans.equivalent,
-                        "sign": ans.sign, "counterexample": list(ans.word or ())})
-    if ans.equivalent:
-        return empty
-    if ans.sign != POSITIVE:
-        raise LearnerBug("empty hypothesis produced a negative counterexample")
-    w = ans.word
-    learner.add_state(())
-    for p in teacher.target.alphabet.processes:
-        learner.add_test(traces.projection(learner.alpha, w, p))
-    learner.apply_absent_trans(AbsentTrans(w[0], (), w))
-    learner.restore_closure()
-    if debug:
-        learner.verify_invariants()
-    for _ in range(_ROUND_CAP):
-        hyp = learner.build_hypothesis()
-        ans = teacher.equiv_query(hyp.negotiation)
-        learner.log.append({"event": "equiv", "equivalent": ans.equivalent,
-                            "sign": ans.sign, "counterexample": list(ans.word or ()),
-                            "hypothesis_nodes": len(hyp.negotiation.nodes)})
-        if ans.equivalent:
-            return hyp.negotiation
-        inst = learner.classify(hyp, ans.sign, ans.word)
-        if isinstance(inst, AbsentTrans):
-            learner.apply_absent_trans(inst)
-        else:
-            learner.apply_neq(hyp, inst)
-        learner.restore_closure()
-        if debug:
-            learner.verify_invariants()
-    raise LearnerBug("round cap exceeded without convergence")
+    return PathLearner(teacher, debug=debug, log=log).run()

@@ -1,0 +1,242 @@
+"""The observation-table core shared by both learners.
+
+Both learners run Angluin's L* loop (1987) over state words Q and tests T:
+equivalence modulo T, closure, the Uniqueness and Pref invariants, and a
+bisection for where a counterexample's membership answer flips (Rivest &
+Schapire 1993). They differ in the words: `learn_paths` concatenates local
+paths as tuples, `learn_exec` takes executions up to trace equivalence. A
+subclass binds `_query` to its teacher query and supplies `canon`,
+`check_test`, `bootstrap`, `transitions`, `build_hypothesis`,
+`counterexample` and `verify_table`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import chain
+
+from . import traces
+from .errors import InvariantViolation, LearnerBug, Unclassifiable
+from .model import Negotiation, empty_negotiation
+from .teacher import POSITIVE, Teacher
+
+ROUND_CAP = 100_000
+FRESH_FIN = "qf"
+
+
+@dataclass
+class Hypothesis:
+    negotiation: Negotiation
+    id_of: dict  # Q word -> node id
+    word_of: dict  # node id -> Q word
+    fin_id: str
+
+
+def flip_index(g, lo, hi, g_lo) -> int:
+    """Binary search for i in [lo, hi) with g(i) == g_lo != g(i + 1), given
+    g(lo) == g_lo != g(hi); callers check the endpoints themselves."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if g(mid) == g_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class Learner:
+    # extra fields of the logged bootstrap and round equivalence queries
+    BOOTSTRAP_LOG: dict = {}
+    ROUND_LOG: dict = {}
+
+    def __init__(self, teacher: Teacher, debug: bool = False, log: list | None = None):
+        self.teacher = teacher
+        self.alpha = teacher.target.alphabet
+        self.debug = debug
+        self.log = log if log is not None else []
+        self.q = []
+        self.tests = []
+        self._states = set()
+
+    # -- observation table ----------------------------------------------------
+
+    def canon(self, w) -> tuple:
+        return tuple(w)
+
+    def member(self, *parts) -> bool:
+        """Membership of the concatenation of `parts`."""
+        return self._query(parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts)))
+
+    def separating_test(self, u, v):
+        """First test that exactly one of u, v passes, or None."""
+        query = self._query
+        return next((t for t in self.tests if query(u + t) != query(v + t)), None)
+
+    def equiv_t(self, u, v) -> bool:
+        return self.separating_test(u, v) is None
+
+    def passing_test(self, u):
+        """First nonempty test that u passes, or None."""
+        query = self._query
+        return next((t for t in self.tests if t and query(u + t)), None)
+
+    def find_rep(self, word):
+        for v in self.q:
+            if self.equiv_t(word, v):
+                return v
+        return None
+
+    def add_state(self, word):
+        word = self.canon(word)
+        if word in self._states:
+            raise InvariantViolation(f"state {word} added twice")
+        self._states.add(word)
+        self.q.append(word)
+
+    def check_test(self, t):
+        """Raise InvariantViolation when `t` may not join T."""
+
+    def add_test(self, t):
+        t = self.canon(t)
+        self.check_test(t)
+        if t not in self.tests:
+            self.tests.append(t)
+
+    def restore_closure(self) -> int:
+        added = 0
+        for _, _, word in self.transitions():
+            if self.find_rep(word) is None:
+                self.add_state(word)
+                added += 1
+        if added:
+            self.log.append({"event": "closure", "added": added})
+        return added
+
+    # -- hypotheses -------------------------------------------------------------
+
+    def final_word(self):
+        """The accepted state word, or None; Uniqueness allows at most one."""
+        finals = [u for u in self.q if self.member(u)]
+        if len(finals) > 1:
+            raise InvariantViolation(f"two accepted state words: {finals[:2]}")
+        return finals[0] if finals else None
+
+    def transition_delta(self, id_of) -> dict:
+        """(node, action, process) -> node of each transition's representative."""
+        delta = {}
+        for u, (a, p), word in self.transitions():
+            rep = self.find_rep(word)
+            if rep is None:
+                raise InvariantViolation(f"Closure broken at {word}")
+            delta[(id_of[u], a, p)] = id_of[rep]
+        return delta
+
+    def assemble(self, id_of, dnode, delta, final) -> Hypothesis:
+        """The hypothesis over Q, its final node spanning all processes; with
+        no accepted state word yet, a language-empty one around a fresh,
+        unreachable final node."""
+        nodes = tuple(id_of[u] for u in self.q)
+        if final is None:
+            fin_id = FRESH_FIN
+            nodes += (fin_id,)
+        else:
+            fin_id = id_of[final]
+        dnode[fin_id] = tuple(self.alpha.processes)
+        neg = Negotiation(alphabet=self.alpha, nodes=nodes, dnode=dnode, delta=delta,
+                          init=id_of[self.q[0]], fin=fin_id)
+        return Hypothesis(neg, id_of, {i: u for u, i in id_of.items()}, fin_id)
+
+    def _walk(self, hyp: Hypothesis, letters):
+        """Nodes (as Q words) of the hypothesis walk from init along letters,
+        or None when the walk leaves the hypothesis."""
+        words = [self.q[0]]
+        for (a, p) in letters:
+            nxt = hyp.negotiation.delta.get((hyp.id_of[words[-1]], a, p))
+            if nxt is None:
+                return None
+            words.append(hyp.word_of[nxt])
+        return words
+
+    # -- counterexamples ---------------------------------------------------------
+
+    def stranded_process(self, hyp: Hypothesis, pre):
+        """First process not at the final node after a fully executed
+        positive counterexample."""
+        for p in self.alpha.processes:
+            if pre.end.node_of(p) != hyp.fin_id:
+                return p
+        raise Unclassifiable("positive counterexample accepted by the hypothesis")
+
+    def stuck_action(self, pre):
+        """Least minimal action of the remainder the hypothesis cannot fire,
+        and the hypothesis node each of its processes sits at."""
+        b = min(traces.minimal_actions(self.alpha, pre.remainder), key=self.alpha.action_index)
+        return b, {p: pre.end.node_of(p) for p in self.alpha.dom[b]}
+
+    def scattered_split(self, hyp: Hypothesis, node_of):
+        """(p1, u1, p2, u2, t): the first two processes of `node_of` sitting at
+        different nodes, those nodes' Q words and the first test separating them."""
+        procs = tuple(node_of)
+        pair = next(((p1, p2) for i, p1 in enumerate(procs) for p2 in procs[i + 1 :]
+                     if node_of[p1] != node_of[p2]), None)
+        if pair is None:
+            raise Unclassifiable("action disabled although all its processes share a node")
+        p1, p2 = pair
+        u1, u2 = hyp.word_of[node_of[p1]], hyp.word_of[node_of[p2]]
+        t = self.separating_test(u1, u2)
+        if t is None:
+            raise Unclassifiable(f"Uniqueness broken: {u1} vs {u2} agree on all tests")
+        return p1, u1, p2, u2, t
+
+    # -- invariants ---------------------------------------------------------------
+
+    def verify_invariants(self):
+        for i, u in enumerate(self.q):
+            for v in self.q[i + 1 :]:
+                if self.equiv_t(u, v):
+                    raise InvariantViolation(f"Uniqueness: {u} == {v} under T")
+        self.verify_table()
+        self.log.append({"event": "invariants", "ok": True})
+
+    def check_pref(self):
+        for u in self.q:
+            if not any(self._query(u + t) for t in self.tests):
+                raise InvariantViolation(f"Pref: {u} has no passing test")
+
+    # -- main loop ------------------------------------------------------------------
+
+    def next_hypothesis(self) -> Hypothesis:
+        """The hypothesis handed to the next equivalence query."""
+        return self.build_hypothesis()
+
+    def settle(self):
+        self.restore_closure()
+        if self.debug:
+            self.verify_invariants()
+
+    def _log_equiv(self, ans, fields):
+        self.log.append({"event": "equiv", "equivalent": ans.equivalent, "sign": ans.sign,
+                         "counterexample": list(ans.word or ()), **fields})
+
+    def run(self) -> Negotiation:
+        """Bootstrap on the empty hypothesis, then alternate equivalence
+        queries with counterexample processing and closure restoration."""
+        empty = empty_negotiation(self.alpha)
+        ans = self.teacher.equiv_query(empty)
+        self._log_equiv(ans, self.BOOTSTRAP_LOG)
+        if ans.equivalent:
+            return empty
+        if ans.sign != POSITIVE:
+            raise LearnerBug("empty hypothesis produced a negative counterexample")
+        self.bootstrap(ans.word)
+        self.settle()
+        for _ in range(ROUND_CAP):
+            hyp = self.next_hypothesis()
+            ans = self.teacher.equiv_query(hyp.negotiation)
+            self._log_equiv(ans, {**self.ROUND_LOG,
+                                  "hypothesis_nodes": len(hyp.negotiation.nodes)})
+            if ans.equivalent:
+                return hyp.negotiation
+            self.counterexample(hyp, ans.sign, ans.word)
+            self.settle()
+        raise LearnerBug("round cap exceeded without convergence")

@@ -263,29 +263,27 @@ def validate(n: Negotiation) -> list:
     return out
 
 
+def reach(succ, roots) -> set:
+    """Everything reachable from `roots` (included) along `succ(x)`."""
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        for y in succ(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 def path_coverage_warnings(n: Negotiation) -> list:
     """Nodes not on any local path init -> fin (reported as warnings only)."""
-    fwd = {n.init}
-    queue = deque([n.init])
     succ = {}
     pred = {}
     for (m, a, p), t in n.delta.items():
         succ.setdefault(m, []).append(t)
         pred.setdefault(t, []).append(m)
-    while queue:
-        m = queue.popleft()
-        for t in succ.get(m, ()):
-            if t not in fwd:
-                fwd.add(t)
-                queue.append(t)
-    bwd = {n.fin}
-    queue = deque([n.fin])
-    while queue:
-        m = queue.popleft()
-        for t in pred.get(m, ()):
-            if t not in bwd:
-                bwd.add(t)
-                queue.append(t)
+    fwd = reach(lambda m: succ.get(m, ()), [n.init])
+    bwd = reach(lambda m: pred.get(m, ()), [n.fin])
     return [
         f"node {m!r} lies on no local path from init to fin"
         for m in n.nodes

@@ -17,6 +17,7 @@ from .model import (
     Configuration,
     Negotiation,
     configuration_graph,
+    reach,
 )
 
 DEFAULT_CYCLE_BUDGET = 10**5
@@ -37,17 +38,9 @@ def is_sound_semantic(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> Sem
     for i, outs in enumerate(graph.succ):
         for _, j in outs:
             pred[j].append(i)
-    coreach = [False] * len(graph)
     fin = n.final_configuration().nodes
-    if fin in graph.order:
-        queue = [graph.order.index(fin)]
-        coreach[queue[0]] = True
-        for j in queue:
-            for i in pred[j]:
-                if not coreach[i]:
-                    coreach[i] = True
-                    queue.append(i)
-    stuck = [i for i, ok in enumerate(coreach) if not ok]
+    coreach = reach(pred.__getitem__, [graph.order.index(fin)] if fin in graph.order else [])
+    stuck = [i for i in range(len(graph)) if i not in coreach]
     if stuck:
         # prefer an outright deadlock as the counterexample when one exists
         dead = next((i for i in stuck if not graph.succ[i]), stuck[0])
@@ -167,16 +160,9 @@ def find_pattern_B(n: Negotiation):
         fwd_order, fwd_paths = _reachable(n, n.init, edges)
         rev = {}
         for src, outs in edges.items():
-            for letter, dst in outs:
-                rev.setdefault(dst, []).append((letter, src))
-        coreach = {n.fin}
-        queue = deque([n.fin])
-        while queue:
-            s = queue.popleft()
-            for _, src in rev.get(s, ()):
-                if src not in coreach:
-                    coreach.add(src)
-                    queue.append(src)
+            for _, dst in outs:
+                rev.setdefault(dst, []).append(src)
+        coreach = reach(lambda s: rev.get(s, ()), [n.fin])
         for node in fwd_order:
             if node not in coreach:
                 return BWitness(p, fwd_paths[node], node)

@@ -297,3 +297,36 @@ def stepwise_product_search(t: Negotiation, h: Negotiation, budget: int = 10**6)
                 return EquivAnswer(False, sign, word_of(nxt))
             order.append(nxt)
     return EquivAnswer(True)
+
+
+def homomorphism(n: Negotiation, m: Negotiation):
+    """Node map n -> m sending each node to the state its access path reaches
+    in m; returns None when the map fails to preserve labeled transitions
+    (a bug signal, given m = minimize_negotiation(n))."""
+    access = {n.init: ()}
+    queue = deque([n.init])
+    edges = {}
+    for (src, a, p), t in sorted(n.delta.items()):
+        edges.setdefault(src, []).append(((a, p), t))
+    while queue:
+        s = queue.popleft()
+        for letter, t in edges.get(s, ()):
+            if t not in access:
+                access[t] = access[s] + (letter,)
+                queue.append(t)
+    mapping = {}
+    for node in n.nodes:
+        if node not in access:
+            return None
+        cur = m.init
+        for (a, p) in access[node]:
+            cur = m.delta.get((cur, a, p))
+            if cur is None:
+                return None
+        mapping[node] = cur
+    for (src, a, p), t in n.delta.items():
+        if m.delta.get((mapping[src], a, p)) != mapping[t]:
+            return None
+    if mapping[n.init] != m.init or mapping[n.fin] != m.fin:
+        return None
+    return mapping

@@ -2,7 +2,6 @@ import pytest
 
 from negotiations.automata import (
     PartialDfa,
-    homomorphism,
     is_dom_complete,
     minimize,
     minimize_negotiation,
@@ -253,7 +252,7 @@ class TestHomomorphism:
     def test_fork_identity_like(self):
         n = fixtures.fork()
         m = minimize_negotiation(n)
-        h = homomorphism(n, m)
+        h = oracles.homomorphism(n, m)
         assert h is not None
         assert len(set(h.values())) == len(n.nodes)
 
@@ -286,14 +285,14 @@ class TestHomomorphism:
             fin="nf",
         )
         m = minimize_negotiation(red)
-        h = homomorphism(red, m)
+        h = oracles.homomorphism(red, m)
         assert h is not None
         assert h["n3"] == h["n3bis"]
 
     def test_verified_edge_by_edge(self):
         for n in (fixtures.ping(), fixtures.editorial(), fixtures.mod15()):
             m = minimize_negotiation(n)
-            h = homomorphism(n, m)
+            h = oracles.homomorphism(n, m)
             assert h is not None
             for (src, a, p), t in n.delta.items():
                 assert m.delta[(h[src], a, p)] == h[t]

@@ -5,12 +5,8 @@ import pytest
 from negotiations import learn_exec, traces
 from negotiations.automata import minimize_negotiation, neg_equiv
 from negotiations.errors import InvariantViolation
-from negotiations.learn_exec import (
-    AbsentTransE,
-    ExecHypothesis,
-    ExecLearner,
-    TargetInstance,
-)
+from negotiations.learn_exec import AbsentTransE, ExecLearner, TargetInstance
+from negotiations.learner import Hypothesis
 from negotiations.model import Negotiation, member_exec
 from negotiations.teacher import Teacher
 
@@ -222,7 +218,7 @@ def _fork_learner_state(redirect_d_q=False, split_join=False, drop_d=False):
         init=ids[eps],
         fin=ids[finw],
     )
-    hyp = ExecHypothesis(neg, ids, {i: u for u, i in ids.items()}, ids[finw])
+    hyp = Hypothesis(neg, ids, {i: u for u, i in ids.items()}, ids[finw])
     return teacher, learner, hyp
 
 
@@ -250,7 +246,7 @@ class TestDescent:
         neg = hyp.negotiation
         delta = {k: v for k, v in neg.delta.items() if k[0] != hyp.id_of[("c", "c", "x", "y")]}
         neg2 = Negotiation(neg.alphabet, neg.nodes, neg.dnode, delta, neg.init, neg.fin)
-        hyp2 = ExecHypothesis(neg2, hyp.id_of, hyp.word_of, hyp.fin_id)
+        hyp2 = Hypothesis(neg2, hyp.id_of, hyp.word_of, hyp.fin_id)
         for pr in ("p", "q"):
             learner.supports.pop((("c", "c", "x", "y"), "d", pr))
         inst = learner.handle_positive(hyp2, ("c", "x", "y", "d"))
@@ -364,7 +360,7 @@ class TestMakeSoundConversions:
             init="q0",
             fin="qF",
         )
-        hyp = ExecHypothesis(neg, ids, {i: u for u, i in ids.items()}, "qF")
+        hyp = Hypothesis(neg, ids, {i: u for u, i in ids.items()}, "qF")
         witness = CWitness(entry_path=(("s", "p"),), cycle_path=(("g", "p"), ("h", "p")))
         from negotiations.soundness import verify_witness
 

@@ -244,6 +244,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("undecided:") and "exceeds 100 vertices" in err
 
+    @pytest.mark.parametrize("first,second,verdict,decisions", [
+        ("fork", "fork", "equivalent", 2),
+        ("ping", "mod15", "not equivalent", 2),
+        ("fork", "fork_unsound", "not equivalent", 2),
+        ("fork", "fork_split", "not equivalent", 2),
+        ("fork_unsound", "fork", "not equivalent", 1),
+        ("fork_unsound", "fork_split", "equivalent", 1),
+    ])
+    def test_equiv_decides_soundness_once_per_input(self, first, second, verdict, decisions,
+                                                    tmp_path, monkeypatch, capsys):
+        """`equiv` decides each input's soundness at most once: a sound
+        input paired with an unsound one takes 2 decisions, not 4."""
+        files = []
+        for name in (first, second):
+            path = tmp_path / f"{name}.json"
+            path.write_text(serialize(getattr(fixtures, name)()), encoding="utf-8")
+            files.append(str(path))
+        calls = []
+
+        def counting(n, **kwargs):
+            calls.append(n)
+            return is_sound_semantic(n, **kwargs)
+
+        monkeypatch.setattr(soundness, "is_sound_semantic", counting)
+        code = cli.main(["equiv", *files])
+        assert capsys.readouterr().out.strip() == verdict
+        assert code == (cli.EXIT_OK if verdict == "equivalent" else cli.EXIT_FALSE)
+        assert len(calls) == decisions
+
     def test_learn_roundtrip_gen(self, tmp_path):
         gen_path = tmp_path / "g.json"
         run_cli("gen", "--procs", "2", "--nodes", "6", "--seed", "3", "-o", str(gen_path))
