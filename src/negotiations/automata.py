@@ -6,7 +6,6 @@ isomorphism of minimal forms is plain structural equality.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -16,7 +15,7 @@ from .errors import (
     NoTransition,
     NotDomComplete,
 )
-from .model import DistributedAlphabet, Negotiation, reach
+from .model import DistributedAlphabet, Negotiation, bfs, reach
 
 
 @dataclass
@@ -164,23 +163,14 @@ def canonical_relabel(dfa: PartialDfa) -> PartialDfa:
     """Deterministic BFS renaming s0, s1, ... expanding letters in declared
     order; minimal DFAs of the same language become structurally equal."""
     letters = dfa.alphabet.local_letters()
-    name = {dfa.init: "s0"}
-    order = [dfa.init]
-    queue = deque([dfa.init])
-    while queue:
-        s = queue.popleft()
-        for l in letters:
-            t = dfa.delta.get((s, l))
-            if t is not None and t not in name:
-                name[t] = f"s{len(name)}"
-                order.append(t)
-                queue.append(t)
-    if len(name) != len(dfa.states):
-        # unreachable states survive only in untrimmed automata
-        for s in dfa.states:
-            if s not in name:
-                name[s] = f"s{len(name)}"
-                order.append(s)
+
+    def moves(s):
+        return [(l, dfa.delta[(s, l)]) for l in letters if (s, l) in dfa.delta]
+
+    found, _ = bfs(dfa.init, moves)
+    # unreachable states survive only in untrimmed automata
+    order = list(found) + [s for s in dfa.states if s not in found]
+    name = {s: f"s{i}" for i, s in enumerate(order)}
     return PartialDfa(
         alphabet=dfa.alphabet,
         states=tuple(name[s] for s in order),

@@ -46,6 +46,9 @@ def parse(text: str) -> Negotiation:
     for key in obj:
         if key not in required:
             raise ParseError(f"unknown key {key!r}")
+    for key in ("actions", "nodes"):
+        if not isinstance(obj[key], dict):
+            raise ParseError(f"{key!r} must be an object mapping names to process lists")
     try:
         alphabet = DistributedAlphabet(
             processes=tuple(obj["processes"]),

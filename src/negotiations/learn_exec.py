@@ -139,15 +139,6 @@ class ExecLearner(Learner):
 
     # -- support paths and binary search ---------------------------------------
 
-    def support_concat(self, hyp: Hypothesis, letters):
-        """Concatenation of the stored supports along a hypothesis local
-        path from the initial node; co-prime for nonempty paths, and its
-        projection onto a pure p-path's process is the path's action word."""
-        words = self._walk(hyp, letters)
-        if words is None:
-            raise LearnerBug(f"path {letters} leaves the hypothesis")
-        return self.canon(self._sigma(words, letters))
-
     def _support_seq(self, words, letters):
         return [self.supports[(words[i], a, p)] for i, (a, p) in enumerate(letters)]
 

@@ -17,11 +17,16 @@ per step, and tuple hashes instead of dataclass hashes in the visited sets.
 At a configuration where a move that only an invalid negotiation has is
 fireable, the kernel raises `CheckedMove` and the search expands that
 configuration by `enabled_actions` and `step` instead.
+
+Graph searches use `reach` for reachability sets and `bfs` (with `path`
+reading a label path out of its parent map) where discovery order, shortest
+paths or a first hit matter: `compute_I`, the product search, the pattern
+witnesses' access paths, the canonical renaming of minimal DFAs.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -113,15 +118,6 @@ class DistributedAlphabet:
             if a not in self._dom_sets:
                 raise UnknownAction(f"unknown action {a!r}")
 
-    def __eq__(self, other):
-        if not isinstance(other, DistributedAlphabet):
-            return NotImplemented
-        return (
-            self.processes == other.processes
-            and self.actions == other.actions
-            and self.dom == other.dom
-        )
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -208,18 +204,6 @@ class Negotiation:
     def final_configuration(self) -> Configuration:
         return Configuration.uniform(self.alphabet, self.fin)
 
-    def __eq__(self, other):
-        if not isinstance(other, Negotiation):
-            return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.nodes == other.nodes
-            and self.dnode == other.dnode
-            and self.delta == other.delta
-            and self.init == other.init
-            and self.fin == other.fin
-        )
-
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
@@ -273,6 +257,40 @@ def reach(succ, roots) -> set:
                 seen.add(y)
                 stack.append(y)
     return seen
+
+
+def bfs(start, moves, stop=None, budget=math.inf, budget_error=""):
+    """Breadth-first search from `start` along `moves(x) -> [(label, y)]`,
+    drawing each state's moves lazily, in the order given. Returns
+    `(parent, hit)`: `parent` maps each discovered state, in discovery
+    order, to `(x, label)` (`start` to None); `hit` is the first state that
+    meets `stop` (`start` included), or None. Past `budget` discovered
+    states it raises StateBudgetExceeded(`budget_error`), before `stop` sees
+    the state that overflowed."""
+    parent = {start: None}
+    if stop is not None and stop(start):
+        return parent, start
+    queue = [start]
+    for x in queue:  # `queue` grows while it is walked
+        for label, y in moves(x):
+            if y in parent:
+                continue
+            parent[y] = (x, label)
+            if len(parent) > budget:
+                raise StateBudgetExceeded(budget_error)
+            if stop is not None and stop(y):
+                return parent, y
+            queue.append(y)
+    return parent, None
+
+
+def path(parent, y) -> tuple:
+    """The labels of the `bfs` path from its start to `y`."""
+    labels = []
+    while parent[y] is not None:
+        y, label = parent[y]
+        labels.append(label)
+    return tuple(reversed(labels))
 
 
 def path_coverage_warnings(n: Negotiation) -> list:
@@ -506,6 +524,8 @@ def configuration_graph(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> C
     index = {init: 0}
     order = [init]
     succs = []
+    # not `bfs`: edges go to seen successors too, by index; keeping the
+    # moves to rebuild them would hold one node tuple per edge
     for c in order:  # BFS: `order` grows while it is walked
         try:
             moves = succ(c)
@@ -535,36 +555,29 @@ def compute_I(n: Negotiation, node, budget: int = DEFAULT_STATE_BUDGET, reverse_
         raise ValueError(f"unknown node {node!r}")
     procs = n.alphabet.processes
     expand = _expansion(n)
-    init = n.initial_configuration().nodes
-    seen = {init}
-    queue = deque([init])
     found = None
-    while queue:
-        c = queue.popleft()
+
+    def moves(c):
+        nonlocal found
         try:
-            enabled, moves = expand(c)
+            enabled, out = expand(c)
         except CheckedMove:
             enabled = list(enabled_nodes(n, Configuration(procs, c)))
-            moves = _stepwise_moves(n, c, reverse_ties)
+            out = _stepwise_moves(n, c, reverse_ties)
         else:
             if reverse_ties:
-                moves.reverse()
-        if enabled == [node]:
-            if found is not None and found != c:
+                out.reverse()
+        if enabled == [node]:  # tested on expansion, before any of c's moves
+            if found is not None:
                 raise AmbiguousConfiguration(
                     f"two configurations enable exactly {node!r}: "
                     f"{Configuration(procs, found)} and {Configuration(procs, c)}"
                 )
-            if found is None:
-                found = c
-        for a, c2 in moves:
-            if c2 not in seen:
-                seen.add(c2)
-                if len(seen) > budget:
-                    raise StateBudgetExceeded(
-                        f"configuration search exceeds {budget} vertices"
-                    )
-                queue.append(c2)
+            found = c
+        return out
+
+    bfs(n.initial_configuration().nodes, moves, budget=budget,
+        budget_error=f"configuration search exceeds {budget} vertices")
     if found is None:
         raise ConfigurationNotFound(f"no reachable configuration enables exactly {node!r}")
     return Configuration(procs, found)

@@ -16,7 +16,9 @@ from .model import (
     DEFAULT_STATE_BUDGET,
     Configuration,
     Negotiation,
+    bfs,
     configuration_graph,
+    path,
     reach,
 )
 
@@ -117,62 +119,37 @@ class BWitness:
         }
 
 
-def _edges(n: Negotiation):
-    """Labeled local edges sorted for deterministic traversal."""
+def _edges(n: Negotiation, p=None):
+    """Labeled local edges (of process `p` only, when given) sorted for
+    deterministic traversal."""
     order = {}
-    for (src, a, p), dst in n.delta.items():
-        order.setdefault(src, []).append(((a, p), dst))
+    for (src, a, q), dst in n.delta.items():
+        if p is None or q == p:
+            order.setdefault(src, []).append(((a, q), dst))
     for src in order:
         order[src].sort(key=lambda e: (n.alphabet.action_index(e[0][0]), n.alphabet.proc_index(e[0][1])))
     return order
 
 
-def _p_edges(n: Negotiation, p):
-    order = {}
-    for (src, a, q), dst in n.delta.items():
-        if q == p:
-            order.setdefault(src, []).append(((a, p), dst))
-    for src in order:
-        order[src].sort(key=lambda e: n.alphabet.action_index(e[0][0]))
-    return order
-
-
-def _reachable(n: Negotiation, start, edges):
-    seen = {start}
-    paths = {start: ()}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        for letter, t in edges.get(s, ()):
-            if t not in seen:
-                seen.add(t)
-                paths[t] = paths[s] + (letter,)
-                order.append(t)
-                queue.append(t)
-    return order, paths
-
-
 def find_pattern_B(n: Negotiation):
     """Per-process forward/backward reachability along p-edges."""
     for p in n.alphabet.processes:
-        edges = _p_edges(n, p)
-        fwd_order, fwd_paths = _reachable(n, n.init, edges)
+        edges = _edges(n, p)
+        fwd, _ = bfs(n.init, lambda s: edges.get(s, ()))
         rev = {}
         for src, outs in edges.items():
             for _, dst in outs:
                 rev.setdefault(dst, []).append(src)
         coreach = reach(lambda s: rev.get(s, ()), [n.fin])
-        for node in fwd_order:
+        for node in fwd:
             if node not in coreach:
-                return BWitness(p, fwd_paths[node], node)
+                return BWitness(p, path(fwd, node), node)
     return None
 
 
-def _label_path(n: Negotiation, node_seq):
-    """Realize a node sequence as a labeled local path, picking the least
-    label for every hop."""
-    edges = _edges(n)
+def _label_path(edges, node_seq):
+    """Realize a node sequence as a labeled local path over the `_edges`
+    index, picking the least label for every hop."""
     labels = []
     for s, t in zip(node_seq, node_seq[1:]):
         hop = next(letter for letter, dst in edges[s] if dst == t)
@@ -262,39 +239,22 @@ def _bad_scc(n: Negotiation, nodes, succ):
     return None
 
 
-def _closed_walk(n: Negotiation, comp):
+def _closed_walk(n: Negotiation, comp, edges):
     """A closed local path visiting every node of the strongly connected set
     `comp`, anchored at its first node in declared order."""
     comp_set = set(comp)
     ordered = [v for v in n.nodes if v in comp_set]
     anchor = ordered[0]
-    edges = _edges(n)
 
-    def path_between(a, b):
-        if a == b:
-            return [a]
-        seen = {a}
-        parent = {}
-        queue = deque([a])
-        while queue:
-            s = queue.popleft()
-            for _, t in edges.get(s, ()):
-                if t in comp_set and t not in seen:
-                    seen.add(t)
-                    parent[t] = s
-                    if t == b:
-                        seq = [b]
-                        while seq[-1] != a:
-                            seq.append(parent[seq[-1]])
-                        return list(reversed(seq))
-                    queue.append(t)
-        raise AssertionError("strongly connected set lost connectivity")
+    def moves(s):  # each hop labelled by the node it enters
+        return [(t, t) for _, t in edges.get(s, ()) if t in comp_set]
 
-    stops = ordered + [anchor]
     walk = [anchor]
-    for a, b in zip(stops, stops[1:]):
-        seg = path_between(a, b)
-        walk.extend(seg[1:])
+    for a, b in zip(ordered, ordered[1:] + [anchor]):
+        parent, hit = bfs(a, moves, stop=lambda t: t == b)
+        if hit is None:
+            raise AssertionError("strongly connected set lost connectivity")
+        walk.extend(path(parent, b))
     if len(walk) == 1:  # single node; must have a self-loop
         walk = [anchor, anchor]
     return walk
@@ -333,20 +293,19 @@ def find_pattern_C(n: Negotiation, cycle_budget: int = DEFAULT_CYCLE_BUDGET):
     """
     edges = _edges(n)
     succ = {s: [t for _, t in outs] for s, outs in edges.items()}
-    reach_order, reach_paths = _reachable(n, n.init, edges)
-    reach_set = set(reach_order)
-    comp = _bad_scc(n, reach_order, succ)
+    fwd, _ = bfs(n.init, lambda s: edges.get(s, ()))
+    comp = _bad_scc(n, fwd, succ)
     if comp is None:
         return None
-    for cyc in _simple_cycles(succ, reach_order, cycle_budget):
-        labels = _label_path(n, cyc)
+    for cyc in _simple_cycles(succ, fwd, cycle_budget):
+        labels = _label_path(edges, cyc)
         procs = set()
         for a, _ in labels:
             procs |= n.alphabet.dom_set(a)
         if _undominated(n, cyc, procs):
-            return CWitness(reach_paths[cyc[0]], labels)
-    walk = _closed_walk(n, comp)
-    return CWitness(reach_paths[walk[0]], _label_path(n, walk))
+            return CWitness(path(fwd, cyc[0]), labels)
+    walk = _closed_walk(n, comp, edges)
+    return CWitness(path(fwd, walk[0]), _label_path(edges, walk))
 
 
 def _simple_paths(edges, start, budget, forbidden=frozenset()):
@@ -378,9 +337,9 @@ def find_pattern_F(n: Negotiation, pair_budget: int = DEFAULT_PAIR_BUDGET):
     search so the emitted paths genuinely share no node.
     """
     all_edges = _edges(n)
-    reach_order, reach_paths = _reachable(n, n.init, all_edges)
-    p_edges = {p: _p_edges(n, p) for p in n.alphabet.processes}
-    for m in reach_order:
+    fwd, _ = bfs(n.init, lambda s: all_edges.get(s, ()))
+    p_edges = {p: _edges(n, p) for p in n.alphabet.processes}
+    for m in fwd:
         for a in n.out(m):
             dom = n.alphabet.dom[a]
             for i, p1 in enumerate(dom):
@@ -394,12 +353,14 @@ def find_pattern_F(n: Negotiation, pair_budget: int = DEFAULT_PAIR_BUDGET):
                     hit = _disjoint_pair(n, s1, s2, p1, p2, p_edges, pair_budget)
                     if hit is not None:
                         path1, path2 = hit
-                        return FWitness(m, a, p1, p2, path1, path2, reach_paths[m])
+                        return FWitness(m, a, p1, p2, path1, path2, path(fwd, m))
     return None
 
 
 def _pair_filter(n, s1, s2, p1, p2, p_edges, budget):
     """Complete existence filter: explore pairs, never visiting x == y."""
+    # not `bfs`: the goal is tested on dequeue, not on discovery, and moving
+    # it would change which over-budget searches still decide
     want = {p1, p2}
     seen = {(s1, s2)}
     queue = deque([(s1, s2)])
@@ -432,12 +393,12 @@ def _disjoint_pair(n, s1, s2, p1, p2, p_edges, budget):
     return None
 
 
-def find_any_pattern(n: Negotiation, cycle_budget: int = DEFAULT_CYCLE_BUDGET):
+def find_any_pattern(n: Negotiation):
     """B, then C, then F."""
     w = find_pattern_B(n)
     if w is not None:
         return w
-    w = find_pattern_C(n, cycle_budget=cycle_budget)
+    w = find_pattern_C(n)
     if w is not None:
         return w
     return find_pattern_F(n)
@@ -466,9 +427,8 @@ def verify_witness(n: Negotiation, w) -> bool:
         seq = walk_local(n, n.init, w.access_path)
         if seq[-1] != w.blocked_node:
             return False
-        edges = _p_edges(n, w.process)
-        order, _ = _reachable(n, w.blocked_node, edges)
-        return n.fin not in order
+        edges = _edges(n, w.process)
+        return n.fin not in bfs(w.blocked_node, lambda s: edges.get(s, ()))[0]
     if isinstance(w, CWitness):
         seq = walk_local(n, n.init, w.entry_path)
         anchor = seq[-1]

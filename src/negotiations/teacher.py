@@ -11,15 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import automata, soundness, traces
-from .errors import AlphabetMismatch, StateBudgetExceeded
+from .errors import AlphabetMismatch
 from .model import (
     DEFAULT_STATE_BUDGET,
     CheckedMove,
     Configuration,
     Negotiation,
+    bfs,
     enabled_actions,
     member_exec,
     member_path,
+    path,
     step,
     successor_function,
 )
@@ -61,11 +63,9 @@ class Teacher:
     cached (executions up to trace equivalence) and counted.
     """
 
-    def __init__(self, target: Negotiation, state_budget: int = DEFAULT_STATE_BUDGET,
-                 check_answers: bool = True):
+    def __init__(self, target: Negotiation, state_budget: int = DEFAULT_STATE_BUDGET):
         self.target = target
         self.state_budget = state_budget
-        self.check_answers = check_answers
         self.stats = QueryStats()
         self._path_cache = {}
         self._exec_cache = {}
@@ -117,14 +117,13 @@ class Teacher:
             self.stats.max_counterexample_len = max(
                 self.stats.max_counterexample_len, len(answer.word)
             )
-            if self.check_answers:
-                in_target = member_exec(self.target, answer.word)
-                in_hyp = member_exec(hypothesis, answer.word)
-                expected = (True, False) if answer.sign == POSITIVE else (False, True)
-                if (in_target, in_hyp) != expected:
-                    raise AssertionError(
-                        f"equivalence counterexample {answer.word} fails replay"
-                    )
+            in_target = member_exec(self.target, answer.word)
+            in_hyp = member_exec(hypothesis, answer.word)
+            expected = (True, False) if answer.sign == POSITIVE else (False, True)
+            if (in_target, in_hyp) != expected:
+                raise AssertionError(
+                    f"equivalence counterexample {answer.word} fails replay"
+                )
         return answer
 
     def _product_search(self, hypothesis: Negotiation) -> EquivAnswer:
@@ -138,43 +137,24 @@ class Teacher:
         rank = t.alphabet.action_index
         t_fin = t.final_configuration().nodes
         h_fin = h.final_configuration().nodes
-        start = (t.initial_configuration().nodes, h.initial_configuration().nodes)
-        parent = {start: None}
 
-        def word_of(state):
-            parts = []
-            while parent[state] is not None:
-                state, a = parent[state]
-                parts.append(a)
-            return tuple(reversed(parts))
-
-        if (start[0] == t_fin) != (start[1] == h_fin):
-            sign = POSITIVE if start[0] == t_fin else NEGATIVE
-            return EquivAnswer(False, sign, ())
-        queue = [start]
-        for state in queue:  # BFS: `queue` grows while it is walked
+        def moves(state):
             c1, c2 = state
             try:
                 moves1 = dict(succ_t(c1)) if c1 is not _DEAD else {}
                 moves2 = dict(succ_h(c2)) if c2 is not _DEAD else {}
-                moves = [(a, moves1.get(a), moves2.get(a))
-                         for a in sorted(moves1.keys() | moves2.keys(), key=rank)]
             except CheckedMove:
-                moves = _stepwise_product_moves(t, h, c1, c2)
-            for a, n1, n2 in moves:
-                nxt = (n1, n2)
-                if nxt in parent:
-                    continue
-                parent[nxt] = (state, a)
-                if len(parent) > self.state_budget:
-                    raise StateBudgetExceeded(
-                        f"equivalence product exceeds {self.state_budget} states"
-                    )
-                if (n1 == t_fin) != (n2 == h_fin):
-                    sign = POSITIVE if n1 == t_fin else NEGATIVE
-                    return EquivAnswer(False, sign, word_of(nxt))
-                queue.append(nxt)
-        return EquivAnswer(True)
+                return _stepwise_product_moves(t, h, c1, c2)
+            return [(a, (moves1.get(a), moves2.get(a)))
+                    for a in sorted(moves1.keys() | moves2.keys(), key=rank)]
+
+        start = (t.initial_configuration().nodes, h.initial_configuration().nodes)
+        parent, hit = bfs(start, moves, stop=lambda s: (s[0] == t_fin) != (s[1] == h_fin),
+                          budget=self.state_budget,
+                          budget_error=f"equivalence product exceeds {self.state_budget} states")
+        if hit is None:
+            return EquivAnswer(True)
+        return EquivAnswer(False, POSITIVE if hit[0] == t_fin else NEGATIVE, path(parent, hit))
 
 
 def _stepwise_product_moves(t: Negotiation, h: Negotiation, c1, c2):
@@ -190,4 +170,4 @@ def _stepwise_product_moves(t: Negotiation, h: Negotiation, c1, c2):
         if a in acts1 or a in acts2:
             n1 = step(t, s1, a).nodes if a in acts1 else _DEAD
             n2 = step(h, s2, a).nodes if a in acts2 else _DEAD
-            yield a, n1, n2
+            yield a, (n1, n2)

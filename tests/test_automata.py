@@ -105,26 +105,34 @@ class TestMinimize:
         assert dfa.finals == frozenset() and len(dfa.states) == 1
 
     def test_nerode_inequivalence_of_states(self):
-        """No two minimized states share all residuals (bounded DFS)."""
+        """No two minimized states share all residuals up to length 18: a
+        BFS over state pairs (None where a state has no move) finds, within
+        18 letters, a word that reaches a final state from exactly one of
+        the two, which holds exactly when the bounded residual sets differ."""
 
-        def residual(dfa, s, max_len):
-            out = set()
-            stack = [(s, ())]
-            while stack:
-                cur, word = stack.pop()
-                if cur in dfa.finals:
-                    out.add(word)
-                if len(word) == max_len:
-                    continue
-                for (state, letter), t in dfa.delta.items():
-                    if state == cur:
-                        stack.append((t, word + (letter,)))
-            return frozenset(out)
+        def distinguished(dfa, s1, s2, max_len):
+            letters = dfa.alphabet.local_letters()
+            level = [(s1, s2)]
+            seen = set(level)
+            for _ in range(max_len + 1):
+                following = []
+                for x, y in level:
+                    if (x in dfa.finals) != (y in dfa.finals):
+                        return True
+                    for l in letters:
+                        pair = (dfa.delta.get((x, l)), dfa.delta.get((y, l)))
+                        if pair != (None, None) and pair not in seen:
+                            seen.add(pair)
+                            following.append(pair)
+                level = following
+            return False
 
         for n in (fixtures.fork(), fixtures.editorial(), fixtures.mod15()):
             dfa = minimize(paths_dfa(n))
-            vals = [residual(dfa, s, 18) for s in dfa.states]
-            assert len(set(vals)) == len(vals)
+            states = dfa.states
+            for i, s1 in enumerate(states):
+                for s2 in states[i + 1:]:
+                    assert distinguished(dfa, s1, s2, 18), (s1, s2)
 
 
 class TestDomComplete:

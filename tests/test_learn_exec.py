@@ -398,10 +398,19 @@ class TestHypothesisConstruction:
             learner.build_hypothesis()
 
 
+def support_concat(learner, hyp, letters):
+    """Concatenation of the stored supports along a hypothesis local path
+    from the initial node; co-prime for nonempty paths, and its projection
+    onto a pure p-path's process is the path's action word."""
+    words = learner._walk(hyp, letters)
+    assert words is not None, f"path {letters} leaves the hypothesis"
+    return learner.canon(learner._sigma(words, letters))
+
+
 class TestSupportConcat:
     def test_single_transition_is_its_support(self):
         teacher, learner, hyp = _fork_learner_state()
-        got = learner.support_concat(hyp, (("c", "p"),))
+        got = support_concat(learner, hyp, (("c", "p"),))
         assert got == learner.canon(learner.supports[((), "c", "p")])
 
     def test_full_process_path_projects_back(self):
@@ -409,7 +418,7 @@ class TestSupportConcat:
         learner, got = _drive(teacher)
         hyp = learner.build_hypothesis()
         letters = (("c", "p"), ("x", "p"), ("d", "p"))
-        sigma = learner.support_concat(hyp, letters)
+        sigma = support_concat(learner, hyp, letters)
         assert traces.projection(learner.alpha, sigma, "p") == letters
         assert traces.is_coprime(learner.alpha, sigma)
 
@@ -438,7 +447,7 @@ class TestSupportConcat:
                 node = hyp.negotiation.delta[(node, letter[0], letter[1])]
             if not path:
                 continue
-            sigma = learner.support_concat(hyp, tuple(path))
+            sigma = support_concat(learner, hyp, tuple(path))
             assert traces.is_coprime(learner.alpha, sigma)
             found += 1
         assert found > 50

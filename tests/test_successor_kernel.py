@@ -54,7 +54,7 @@ def kernel_graph(n, budget):
 
 
 def product(t, h, budget):
-    return Teacher(t, state_budget=budget, check_answers=False)._product_search(h)
+    return Teacher(t, state_budget=budget)._product_search(h)
 
 
 def assert_agree(n, budgets=(10**6,), node_budgets=None):

@@ -17,6 +17,7 @@ from negotiations.formats import (
 from negotiations.generate import GenParams, generate
 from negotiations.model import validate
 from negotiations.soundness import is_sound_semantic
+from negotiations.teacher import Teacher
 
 import fixtures
 
@@ -75,6 +76,20 @@ class TestJson:
     def test_invalid_json(self):
         with pytest.raises(ParseError, match="invalid JSON"):
             parse("{")
+
+    @pytest.mark.parametrize("key,value", [("actions", ["c", "x"]), ("nodes", ["n0", "n1"])])
+    def test_mapping_key_not_an_object(self, key, value, tmp_path, capsys):
+        """A list where a name -> processes object belongs is a ParseError
+        naming the key, and `neg` exits 2 with a message, not a traceback."""
+        obj = json.loads(serialize(fixtures.fork()))
+        obj[key] = value
+        text = json.dumps(obj)
+        with pytest.raises(ParseError, match=f"'{key}' must be an object"):
+            parse(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["sound", str(path)]) == cli.EXIT_USAGE == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_local_words(self):
         alpha = fixtures.fork().alphabet
@@ -272,6 +287,38 @@ class TestCli:
         assert capsys.readouterr().out.strip() == verdict
         assert code == (cli.EXIT_OK if verdict == "equivalent" else cli.EXIT_FALSE)
         assert len(calls) == decisions
+
+    def test_equiv_searches_the_product_only_for_unsound_pairs(self, tmp_path, monkeypatch,
+                                                               capsys):
+        """`equiv` decides two sound inputs on minimal path DFAs alone and
+        runs the product search once when a side is unsound. On every pair
+        of fixtures over one alphabet the verdict is the teacher's."""
+        names = ["ping", "fork", "fork_unsound", "fork_split", "loop2", "mod15",
+                 "two_period", "forked_periods", "ping_over_mod15", "editorial"]
+        nets = {name: getattr(fixtures, name)() for name in names}
+        files = {}
+        for name, n in nets.items():
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(serialize(n), encoding="utf-8")
+        pairs = [(a, b) for a in names for b in names if nets[a].alphabet == nets[b].alphabet]
+        sound = {name: is_sound_semantic(n).sound for name, n in nets.items()}
+        expected = {(a, b): Teacher(nets[a]).equiv_query(nets[b]).equivalent for a, b in pairs}
+        assert not all(sound.values()) and False in expected.values()
+        searches = []
+        product_search = Teacher._product_search
+
+        def counting(self, hypothesis):
+            searches.append(hypothesis)
+            return product_search(self, hypothesis)
+
+        monkeypatch.setattr(Teacher, "_product_search", counting)
+        for a, b in pairs:
+            searches.clear()
+            code = cli.main(["equiv", str(files[a]), str(files[b])])
+            equal = expected[(a, b)]
+            assert capsys.readouterr().out.strip() == ("equivalent" if equal else "not equivalent")
+            assert code == (cli.EXIT_OK if equal else cli.EXIT_FALSE)
+            assert len(searches) == (0 if sound[a] and sound[b] else 1), (a, b)
 
     def test_learn_roundtrip_gen(self, tmp_path):
         gen_path = tmp_path / "g.json"
