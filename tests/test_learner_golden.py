@@ -1,11 +1,19 @@
-"""Golden digests of both learners: the learned negotiation, the round log and
-the teacher counters must stay byte-identical across refactorings.
+"""Golden digests of both learners: what they learn, log and ask must stay
+byte-identical across refactorings.
 
-Each digest is the sha256 of three parts joined by newlines:
-`formats.serialize(learned)`, the log as JSONL (as `neg learn --trace`
-writes it) and `teacher.stats.to_json()`. Any change in which membership
-queries the learner asks, in which order, or in what it logs moves the
-digest. Regenerate with
+Each case pins two values:
+
+- a behaviour digest, the sha256 of `formats.serialize(learned)`, the log as
+  JSONL (as `neg learn --trace` writes it) and the teacher's
+  `membership_distinct`, `equivalence_total` and `max_counterexample_len`,
+  joined by newlines. A change in which membership queries the learner
+  asks, in what it learns or in what it logs moves it;
+- `membership_total`, the raw query count. It moves when the learner asks
+  the same questions more or less often, as when one closure pass replaced
+  a second scan of the table, and is pinned on its own so such a change can
+  be re-pinned without touching the behaviour digest.
+
+Regenerate with
 
     PYTHONPATH=src:tests python tests/test_learner_golden.py
 
@@ -54,15 +62,18 @@ CASES = (
 )
 
 
-def digest(mode, name, debug):
+def run(mode, name, debug):
+    """(behaviour digest, membership_total) of one learning run."""
     teacher = Teacher(target_of(name))
     log = []
     learner = learn_exec if mode == "exec" else learn_paths
     learned = learner.learn(teacher, debug=debug, log=log)
     jsonl = "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in log)
-    stats = json.dumps(teacher.stats.to_json(), separators=(",", ":"))
-    blob = "\n".join([formats.serialize(learned), jsonl, stats])
-    return hashlib.sha256(blob.encode()).hexdigest()
+    stats = teacher.stats.to_json()
+    total = stats.pop("membership_total")
+    blob = "\n".join([formats.serialize(learned), jsonl,
+                      json.dumps(stats, separators=(",", ":"))])
+    return hashlib.sha256(blob.encode()).hexdigest(), total
 
 
 def case_id(mode, name, debug):
@@ -70,70 +81,138 @@ def case_id(mode, name, debug):
 
 
 GOLDEN = {
-    "paths-ping": "8fcdc425f0051b08b38fb46038aa6d610ecee961415d8067ffe3c5429c5ec7cd",
-    "paths-fork": "f42877f4353ecbf70ea00a09c6582f4e2e91162661deee3d9b3ee2bd2499f2b5",
-    "paths-fork_unsound": "263a1125dacdf835f28349860b398e94abe4ccb46e6b4dacbb66a81d3544b9de",
-    "paths-fork_split": "263a1125dacdf835f28349860b398e94abe4ccb46e6b4dacbb66a81d3544b9de",
-    "paths-loop2": "388a3a7fb04d3800b253f33000627c79ea7b0611f94a5f0c835d380e646969af",
-    "paths-mod15": "d9c0f9db4f3314d2f8c3f454eb2700ececbd2d7ebb8d5ef8fefd0722299c21f4",
-    "paths-two_period": "9c23aa0d972f139844d004bef9658c2b7c127f50d740526e4fcbdf190e4af9de",
-    "paths-forked_periods": "d30262e600fc84646b3aa2d26786aef301a57331596053c3a5c1942943a22774",
-    "paths-ping_over_mod15": "d910cc6947a05b7efffbf4fab52025f7169d0c225f971abac0e45f674d5ecaa1",
-    "paths-editorial": "bb97130615666cd78dbad46f8a1a47a95492285fd42c6cf5effb3d8ec9aeac11",
-    "exec-ping": "01c56d7be795e0dc4761bd3eeee9215643c26ea4eaa478b85198e79dc0d2c3f3",
-    "exec-fork": "c542e97c3611e685e255f86d85a44242d6cd78e876a1227d7a78718011015906",
-    "exec-fork_unsound": "2be2f045b49ca7f98c665385fd185739142de9927863ce02973abe11ca7c601e",
-    "exec-fork_split": "2be2f045b49ca7f98c665385fd185739142de9927863ce02973abe11ca7c601e",
-    "exec-loop2": "b62ca75cff53efa8d9b5689f843ae2f1547c7aae02ee84c8e9f36a10bfc60151",
-    "exec-mod15": "ff0d9ec32bd599dec32d495602896d1ed9322c5fe3b8aa912f8d1d123db35ca7",
-    "exec-two_period": "1a2f5202f31971e17f1577191369df42f1a88a44785abc65ed2583156fc16ca2",
-    "exec-forked_periods": "764950b4ed5bf02b3ae924b70c9eb0b95b5752cebc22b2870d0857616daee74b",
-    "exec-ping_over_mod15": "09bf2c5c52ce503ef07ca314eaefcb5a0281e5e96032b1af033d3fb369bee433",
-    "exec-editorial": "6a6088f49f2768d91614b6ae0917a4d8348ba31d333dde6141d522e9b85b649e",
-    "paths-corpus1": "0c604dba75751c95fe4d1fd33016927a26a0723b89ff70ecaa6d73866b0186bf",
-    "paths-corpus7": "574c51f1c95d1fbb0026416249cfc296bf0c8dfe6149b655526850124451a90c",
-    "paths-corpus10": "459a97d218aea8f4eff7ba16ee9e0f555e4d70d6e26ad135d09c77bf30025403",
-    "paths-corpus14": "a4817afb17e32126ec67fe6024433c607c149a5d051aa0728e332a3a00337aa0",
-    "paths-corpus15": "486efb51ea8f0ac28206e098c154511a9720bba69e48033f465563d98d9e3e00",
-    "paths-corpus31": "786e950b0632b1b615cd66d22904ebf0b4ee181ea10427eaa213c19eee862ef0",
-    "paths-corpus33": "be4868b5b8d4cb0584f7699d4991e2a97239c74d55ec5692986373a0b6b77e6b",
-    "paths-corpus38": "dab25516bea15c6827038a0a61d626480a7741226988230b204b89f26ac5764b",
-    "exec-corpus1": "0093af30cfbad3c878fa8cc0f6af812d2fa3da7d87cb4f0a4e0b3c28fa596ab5",
-    "exec-corpus7": "ec018896dc8410b7450a8eaf7d9acd80aad48ccc8e49ec7717d558dbded3766b",
-    "exec-corpus10": "e91f8dae503cd2465c941e17dde14f72a0420743625b7077ad67cbb7da867c5d",
-    "exec-corpus14": "24afd5af4e5bd61cd603b60509f772a8f5e73694b515578a406278072f3b82c7",
-    "exec-corpus15": "d88e6d924e42d8a59a3127d7dd0b916bcf1aa4ef30b79ae44c3b27eb285306d8",
-    "exec-corpus31": "b8e2b2b618710b96e3e1a1d83224881173cea0d7c102edd0edd88c0b0ff126d7",
-    "exec-corpus33": "e62de0de0ae30a20743f0f486a11b249fc000cbfa478cd25bc326c13f17c7882",
-    "exec-corpus38": "5cb7ebb63212506360ea0b5533d373cadc3c27a7252dd8fdd02c7cd671162bb4",
-    "paths-ping-debug": "e43fe7cba765164a5ddab6831790681ef0ffdb49017d00e5086b56c8af294618",
-    "paths-fork-debug": "4049deab11381fb1d4d083a6a56b0fa2545e31d5a8abb6e2b631c82d02c9371b",
-    "paths-fork_unsound-debug": "263a1125dacdf835f28349860b398e94abe4ccb46e6b4dacbb66a81d3544b9de",
-    "paths-fork_split-debug": "263a1125dacdf835f28349860b398e94abe4ccb46e6b4dacbb66a81d3544b9de",
-    "paths-loop2-debug": "03100548025c99e1a75bfcb9fcb435de454e51b5f1336d1ab7ac82384b836d0e",
-    "paths-mod15-debug": "97788a504bd497af1b0224caedf0dce3861e39710f87daa5156fd61c39507dc6",
-    "paths-two_period-debug": "35a47185400e46b8e0ea9cecbf7a190115a2f6059508f22e3ba04510c53ebbc6",
-    "paths-forked_periods-debug": "ded767431b3efec5a4a5c479014f6680faa35cbf7e19be4f28947e7c1925587d",
-    "paths-ping_over_mod15-debug": "e193aad8e249d931a41dadf894c226b5fe530cefc4c65666d459431401a2c96f",
-    "paths-editorial-debug": "a4921ec388bf7e336b56199ac0da5cb9f3be4fcf2c29d284ce6a782b4719ba2e",
-    "exec-ping-debug": "222a47887b78ea271cec235d00cadc8795bd8674a5d320d3c60adc692593ea51",
-    "exec-fork-debug": "866010ea9cda8aaa492552eef4485c708a7f3afa6529dd979c62d61532303925",
-    "exec-fork_unsound-debug": "2be2f045b49ca7f98c665385fd185739142de9927863ce02973abe11ca7c601e",
-    "exec-fork_split-debug": "2be2f045b49ca7f98c665385fd185739142de9927863ce02973abe11ca7c601e",
-    "exec-loop2-debug": "8529bf6aee59c030689b09b0a53cfc8109ae2a3ed928bf083ea9d1c59b7b8104",
-    "exec-mod15-debug": "bbf6003e3988c428ea6e05e95729cc1690b0e70b9b763520545f081a4c3a0f24",
-    "exec-two_period-debug": "6b62b6634fa70cb78ec9aa8cb40a8f900747e11ab85492b7dff226b5ea92edca",
-    "exec-forked_periods-debug": "4b4ce851e266bd3dcb2df6d51a8302f397e0c763ad9803ad290aa1a390304e0c",
-    "exec-ping_over_mod15-debug": "d374d1f9dcfa4f9767bc68f942fcab4e2398bb43e5ccf6e7c4da79f6675d57a1",
-    "exec-editorial-debug": "65bd5bad750700b78c70b9a785974706e32ae5e19df114e35224b7ef7748e803",
+    "paths-ping": "e326e5eff72423485efb13ce13b36f1587373d96a26bb81cd86dec9b74020660",
+    "paths-fork": "ff73f22b546f8b0c2219a8223614066d3b17501f0deab0e60e457ee233dca254",
+    "paths-fork_unsound": "ffb8f9f66db4db023b927fb5e0b3642e0c423a3111ee656e7a9f4a23c6795b8a",
+    "paths-fork_split": "ffb8f9f66db4db023b927fb5e0b3642e0c423a3111ee656e7a9f4a23c6795b8a",
+    "paths-loop2": "88f9b04071196d28030f7eeb6fa19f1c8596a0b24e2365eafee04c5c25ef9ded",
+    "paths-mod15": "e863bbb674ee1e88e292c6d94aee0188baefc135db2589c3c3d94f613f79226f",
+    "paths-two_period": "f4a64e184ef99094ec663a8b2c06680aae9966ea30654a00dc97bca4350f9cc1",
+    "paths-forked_periods": "5c59473dede47c26059849e4f9f16f28d7de9aca74003567b1462bf1bb3d7d2c",
+    "paths-ping_over_mod15": "61df57db4d6bc9111deda101ff65ec0057ab4cd2ea567d11aca8afcdc496247e",
+    "paths-editorial": "758ddff2c17977420013eda3710eaacd18e7fb444dce8f156e5dc4dd0bc6665b",
+    "exec-ping": "6191499f189b5f57b0d9b153703ea364904094f14d23a99699f2286cdfb41f84",
+    "exec-fork": "ba51220d91b27d36fa1e9beabe20d20b25f1583b694c1cae9cbc16ed08c46591",
+    "exec-fork_unsound": "987ff7d8e05b70bad7136e0a400a59e76477ab52a6f5e4047bddb7c5ef25f63e",
+    "exec-fork_split": "987ff7d8e05b70bad7136e0a400a59e76477ab52a6f5e4047bddb7c5ef25f63e",
+    "exec-loop2": "10638940148195c6a55555c0d27ea515750c69ee949e40d2bba0e577e1bca03b",
+    "exec-mod15": "e86f8139959c7979aba754cd5a54fcae3bff3825df0c22155261e8e90e872eb9",
+    "exec-two_period": "31fb16f113a960b9e2f047d71f60b49763d4a2f77f429d55a574135d29ec1dbe",
+    "exec-forked_periods": "a268de498e3651908810c315a65221db7fda89275cec885a2abab63a7e80be1c",
+    "exec-ping_over_mod15": "18cde80e5a08fa475f8a46a711b2a666a06d1735627fd108df7ee9d23b9ade26",
+    "exec-editorial": "fdbb3debb4df004de7e6404bb398865ab439a20928078e88fb65baa86f5ddabf",
+    "paths-corpus1": "47e93dc28576c0b585d4e65b50ea434999d236ddb7865f67943dd6b33ac0fef1",
+    "paths-corpus7": "bbc73f7815825d1941f92c620cadc1c7135f0522523c60af884457fc86e3fca7",
+    "paths-corpus10": "ad659feeedb535deaa8ecdd1d58d2a8731435b3d5b27296d6049ff233481556f",
+    "paths-corpus14": "13eb98005c671f20fb2accd0776fc02aaafe0f3ef2780d2acbc49e234f3d4047",
+    "paths-corpus15": "7ae29c8a6f76a050e3d30c80b590bdb6756f84d816742d47afcdd67f77b0eb79",
+    "paths-corpus31": "610978eb091813db60091abac6c0bd87c0c8c8110732d12d54b8f9a354e91edc",
+    "paths-corpus33": "216f359414ea83c5ad9d8622b8550cc394d00d817458593dcd0ead7768b30304",
+    "paths-corpus38": "346db75f4aae5a7e5ebe4bbd01b843cb6ff1cdc89f0ad9794674277f17d690da",
+    "exec-corpus1": "ae577d9f2af2dcbf6cb47a60f944ec5ea76145bca018a033995c624a5e764975",
+    "exec-corpus7": "5164880fff4f9720f737addec8e0a180bbd6506aa75e4917b727c86b16724782",
+    "exec-corpus10": "04b2229c6c87b8343c53458284c360956aa403a3e6f031fb96af93f7326d6282",
+    "exec-corpus14": "faa4c64143629cc175cbede4f1bdfb0c1abf8c93b8877714a88e139e7d6d448d",
+    "exec-corpus15": "597d787c787996ba933fe3af2f35813555a3f749786402673dc640e552c8e881",
+    "exec-corpus31": "45331f24a16f77793e3da0ae9b3eba47e4428eaaa2dde98053e01265dca66d70",
+    "exec-corpus33": "03d766130bbf465cb4a6d6a29c57fc9926c22970f81a811e536fccfb442b2d27",
+    "exec-corpus38": "4e9cc2d71cb2e7ddde61a56db753e978d335a7d2b59b8f78253ccd5db852b9da",
+    "paths-ping-debug": "b067981385700597a27fcceafaba4a310ed5997086359ed6c9517478863ff6d9",
+    "paths-fork-debug": "d9bedd55475f19c4e608bbcb5abf3fbe5591b2eb48f7e26206a206c5f7d7a3fc",
+    "paths-fork_unsound-debug": "ffb8f9f66db4db023b927fb5e0b3642e0c423a3111ee656e7a9f4a23c6795b8a",
+    "paths-fork_split-debug": "ffb8f9f66db4db023b927fb5e0b3642e0c423a3111ee656e7a9f4a23c6795b8a",
+    "paths-loop2-debug": "e1d5025beccdc798694ba80e56de510fb6d51738c73a828530ffbad0a7d0bf81",
+    "paths-mod15-debug": "e9f8efbf69177bbbf46cd0c724d8817d0220b0a25b34c6577200c8233f02ba5d",
+    "paths-two_period-debug": "c067b051a259d90558e2a3ae1b36fa45e02ca1455ad04581f537ff6255cbad80",
+    "paths-forked_periods-debug": "88a03375545777297256caf675b248ea67108907305d5dae10c44ef2c2fa0318",
+    "paths-ping_over_mod15-debug": "09dcc7e8eee8a9fe6f2a4c8cf0e1c88bfdf8a089864c96f08f9d3747c40bee17",
+    "paths-editorial-debug": "c8bceb10c051d9f765346f78232a2752fa4a22c383c6c7410c783711c5e02b10",
+    "exec-ping-debug": "3db9e24a0f50129097d0809905049becb25ae4c18d0a17234786814941fff963",
+    "exec-fork-debug": "8a9f8c9c68f3c3ef736fcc08aaf5eee3ddd0f91bbcd312f9ddf6a86eb2db4f73",
+    "exec-fork_unsound-debug": "987ff7d8e05b70bad7136e0a400a59e76477ab52a6f5e4047bddb7c5ef25f63e",
+    "exec-fork_split-debug": "987ff7d8e05b70bad7136e0a400a59e76477ab52a6f5e4047bddb7c5ef25f63e",
+    "exec-loop2-debug": "cf286ab02034efea06784745f3d8a9f89269b78541258e5294ad04cb7bde4c18",
+    "exec-mod15-debug": "21eaf55c5cd3a96044c04cd11abf1922f59d51fc4ef4dbb2faf56a080e447ff0",
+    "exec-two_period-debug": "f8be1700983038a96ab2fe89c0d9a0a18e59a4fc4b409236a5df46e29482b2d8",
+    "exec-forked_periods-debug": "6d0709f88a02d63b9a18f7b681dbb8da6c9321f41a97d3a21c02600d81a7f7d1",
+    "exec-ping_over_mod15-debug": "4c2ca1804287ab463537bd1f6fe8e42d5908ccf0c6433f82d705cc6a161a3185",
+    "exec-editorial-debug": "b1167269205393096e920d58501a4543afebd7b6a13fb0f2a1fef6f7a75d218a",
+}
+MEMBERSHIP_TOTAL = {
+    "paths-ping": 208,
+    "paths-fork": 861,
+    "paths-fork_unsound": 0,
+    "paths-fork_split": 0,
+    "paths-loop2": 405,
+    "paths-mod15": 79475,
+    "paths-two_period": 7596,
+    "paths-forked_periods": 4789,
+    "paths-ping_over_mod15": 208,
+    "paths-editorial": 10607,
+    "exec-ping": 123,
+    "exec-fork": 659,
+    "exec-fork_unsound": 0,
+    "exec-fork_split": 0,
+    "exec-loop2": 251,
+    "exec-mod15": 43854,
+    "exec-two_period": 4809,
+    "exec-forked_periods": 3600,
+    "exec-ping_over_mod15": 123,
+    "exec-editorial": 4742,
+    "paths-corpus1": 1836,
+    "paths-corpus7": 36787,
+    "paths-corpus10": 24725,
+    "paths-corpus14": 4967,
+    "paths-corpus15": 26124,
+    "paths-corpus31": 32311,
+    "paths-corpus33": 8275,
+    "paths-corpus38": 4717,
+    "exec-corpus1": 1190,
+    "exec-corpus7": 11967,
+    "exec-corpus10": 12132,
+    "exec-corpus14": 2639,
+    "exec-corpus15": 8387,
+    "exec-corpus31": 14959,
+    "exec-corpus33": 4961,
+    "exec-corpus38": 2524,
+    "paths-ping-debug": 313,
+    "paths-fork-debug": 1379,
+    "paths-fork_unsound-debug": 0,
+    "paths-fork_split-debug": 0,
+    "paths-loop2-debug": 613,
+    "paths-mod15-debug": 130295,
+    "paths-two_period-debug": 12002,
+    "paths-forked_periods-debug": 8094,
+    "paths-ping_over_mod15-debug": 313,
+    "paths-editorial-debug": 16580,
+    "exec-ping-debug": 220,
+    "exec-fork-debug": 1206,
+    "exec-fork_unsound-debug": 0,
+    "exec-fork_split-debug": 0,
+    "exec-loop2-debug": 436,
+    "exec-mod15-debug": 75551,
+    "exec-two_period-debug": 8086,
+    "exec-forked_periods-debug": 6441,
+    "exec-ping_over_mod15-debug": 220,
+    "exec-editorial-debug": 8113,
 }
 
 
 @pytest.mark.parametrize("mode,name,debug", CASES, ids=[case_id(*c) for c in CASES])
 def test_golden_digest(mode, name, debug):
-    assert digest(mode, name, debug) == GOLDEN[case_id(mode, name, debug)]
+    behaviour, total = run(mode, name, debug)
+    key = case_id(mode, name, debug)
+    assert behaviour == GOLDEN[key]
+    assert total == MEMBERSHIP_TOTAL[key]
 
 
 if __name__ == "__main__":
-    for case in CASES:
-        print(f'    "{case_id(*case)}": "{digest(*case)}",')
+    results = [(case_id(*case), run(*case)) for case in CASES]
+    print("GOLDEN = {")
+    for key, (behaviour, _) in results:
+        print(f'    "{key}": "{behaviour}",')
+    print("}")
+    print("MEMBERSHIP_TOTAL = {")
+    for key, (_, total) in results:
+        print(f'    "{key}": {total},')
+    print("}")
