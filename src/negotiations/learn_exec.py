@@ -83,6 +83,7 @@ class ExecLearner(Learner):
     # -- hypothesis ----------------------------------------------------------
 
     def build_hypothesis(self) -> Hypothesis:
+        reps = self.restore_closure()
         final = self.final_word()
         id_of = {u: f"q{i}" for i, u in enumerate(self.q)}
         dnode = {}
@@ -94,7 +95,7 @@ class ExecLearner(Learner):
                 raise InvariantViolation(f"Pref broken: no passing test for {u}")
             head = traces.min_action(self.alpha, t)
             dnode[id_of[u]] = self.alpha.dom[head]
-        hyp = self.assemble(id_of, dnode, self.transition_delta(id_of), final)
+        hyp = self.assemble(id_of, dnode, self.transition_delta(id_of, reps), final)
         problems = validate(hyp.negotiation)
         if problems:
             raise InvariantViolation("hypothesis fails validation: " + "; ".join(problems))
@@ -501,7 +502,6 @@ class ExecLearner(Learner):
             if repair is None:
                 return hyp
             self.apply(repair)
-            self.settle()
             hyp = self.build_hypothesis()
         raise LearnerBug("soundness repairs failed to converge")
 

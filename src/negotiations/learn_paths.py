@@ -53,9 +53,10 @@ class PathLearner(Learner):
     # -- hypothesis ----------------------------------------------------------
 
     def build_hypothesis(self) -> Hypothesis:
+        reps = self.restore_closure()
         final = self.final_word()
         id_of = {u: f"q{i}" for i, u in enumerate(self.q)}
-        delta = self.transition_delta(id_of)
+        delta = self.transition_delta(id_of, reps)
         hints = {}
         for u in self.q:
             if u == final or self.out[u]:

@@ -7,7 +7,9 @@ Schapire 1993). They differ in the words: `learn_paths` concatenates local
 paths as tuples, `learn_exec` takes executions up to trace equivalence. A
 subclass binds `_query` to its teacher query and supplies `canon`,
 `check_test`, `bootstrap`, `transitions`, `build_hypothesis`,
-`counterexample` and `verify_table`.
+`counterexample` and `verify_table`. Each `build_hypothesis` starts with
+`restore_closure`, the one pass that closes the table, runs the debug
+invariant checks and maps every transition to its representative.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ class Learner:
             raise InvariantViolation(f"state {word} added twice")
         self._states.add(word)
         self.q.append(word)
+        return word
 
     def check_test(self, t):
         """Raise InvariantViolation when `t` may not join T."""
@@ -102,15 +105,19 @@ class Learner:
         if t not in self.tests:
             self.tests.append(t)
 
-    def restore_closure(self) -> int:
-        added = 0
-        for _, _, word in self.transitions():
-            if self.find_rep(word) is None:
-                self.add_state(word)
-                added += 1
-        if added:
-            self.log.append({"event": "closure", "added": added})
-        return added
+    def restore_closure(self) -> dict:
+        """Close the table: each transition word's representative in Q, the
+        word itself joining Q when it has none. Returns {(u, letter): rep}."""
+        size = len(self.q)
+        reps = {}
+        for u, letter, word in self.transitions():
+            rep = self.find_rep(word)
+            reps[(u, letter)] = self.add_state(word) if rep is None else rep
+        if len(self.q) > size:
+            self.log.append({"event": "closure", "added": len(self.q) - size})
+        if self.debug:
+            self.verify_invariants()
+        return reps
 
     # -- hypotheses -------------------------------------------------------------
 
@@ -121,15 +128,10 @@ class Learner:
             raise InvariantViolation(f"two accepted state words: {finals[:2]}")
         return finals[0] if finals else None
 
-    def transition_delta(self, id_of) -> dict:
-        """(node, action, process) -> node of each transition's representative."""
-        delta = {}
-        for u, (a, p), word in self.transitions():
-            rep = self.find_rep(word)
-            if rep is None:
-                raise InvariantViolation(f"Closure broken at {word}")
-            delta[(id_of[u], a, p)] = id_of[rep]
-        return delta
+    def transition_delta(self, id_of, reps) -> dict:
+        """(node, action, process) -> node of each transition's representative,
+        from the map `restore_closure` returns."""
+        return {(id_of[u], a, p): id_of[rep] for (u, (a, p)), rep in reps.items()}
 
     def assemble(self, id_of, dnode, delta, final) -> Hypothesis:
         """The hypothesis over Q, its final node spanning all processes; with
@@ -209,18 +211,14 @@ class Learner:
         """The hypothesis handed to the next equivalence query."""
         return self.build_hypothesis()
 
-    def settle(self):
-        self.restore_closure()
-        if self.debug:
-            self.verify_invariants()
-
     def _log_equiv(self, ans, fields):
         self.log.append({"event": "equiv", "equivalent": ans.equivalent, "sign": ans.sign,
                          "counterexample": list(ans.word or ()), **fields})
 
     def run(self) -> Negotiation:
         """Bootstrap on the empty hypothesis, then alternate equivalence
-        queries with counterexample processing and closure restoration."""
+        queries with counterexample processing; every hypothesis is built
+        from a closed table."""
         empty = empty_negotiation(self.alpha)
         ans = self.teacher.equiv_query(empty)
         self._log_equiv(ans, self.BOOTSTRAP_LOG)
@@ -229,7 +227,6 @@ class Learner:
         if ans.sign != POSITIVE:
             raise LearnerBug("empty hypothesis produced a negative counterexample")
         self.bootstrap(ans.word)
-        self.settle()
         for _ in range(ROUND_CAP):
             hyp = self.next_hypothesis()
             ans = self.teacher.equiv_query(hyp.negotiation)
@@ -238,5 +235,4 @@ class Learner:
             if ans.equivalent:
                 return hyp.negotiation
             self.counterexample(hyp, ans.sign, ans.word)
-            self.settle()
         raise LearnerBug("round cap exceeded without convergence")

@@ -2,12 +2,13 @@ import math
 
 import pytest
 
-from negotiations import learn_exec, traces
+from negotiations import formats, learn_exec, traces
 from negotiations.automata import minimize_negotiation, neg_equiv
 from negotiations.errors import InvariantViolation
 from negotiations.learn_exec import AbsentTransE, ExecLearner, TargetInstance
+from negotiations.learn_paths import PathLearner
 from negotiations.learner import Hypothesis
-from negotiations.model import Negotiation, member_exec
+from negotiations.model import Negotiation, empty_negotiation, member_exec
 from negotiations.teacher import Teacher
 
 import fixtures
@@ -370,6 +371,29 @@ class TestMakeSoundConversions:
         s = learner.supports[(inst.u_prev, inst.action, inst.process)]
         assert learner.member(inst.u_prev, s, inst.r) != learner.member(inst.u_next, inst.r)
         assert traces.is_coprime(learner.alpha, inst.r)
+
+
+@pytest.mark.parametrize("cls", [ExecLearner, PathLearner])
+@pytest.mark.parametrize("name", ["fork", "two_period", "editorial"])
+def test_build_hypothesis_closes_the_table(cls, name):
+    """A hypothesis built straight after out_extend / apply_absent_trans, with
+    no restore_closure call, equals the one built after an explicit closure."""
+    teacher = Teacher(getattr(fixtures, name)())
+    implicit, explicit = cls(teacher), cls(teacher)
+    ans = teacher.equiv_query(empty_negotiation(teacher.target.alphabet))
+    implicit.bootstrap(ans.word)
+    explicit.bootstrap(ans.word)
+    for _ in range(100):
+        explicit.restore_closure()
+        a, b = implicit.next_hypothesis(), explicit.next_hypothesis()
+        assert formats.serialize(a.negotiation) == formats.serialize(b.negotiation)
+        assert a.id_of == b.id_of
+        ans = teacher.equiv_query(a.negotiation)
+        if ans.equivalent:
+            return
+        implicit.counterexample(a, ans.sign, ans.word)
+        explicit.counterexample(b, ans.sign, ans.word)
+    raise AssertionError("did not converge")
 
 
 class TestHypothesisConstruction:

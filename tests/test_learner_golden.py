@@ -139,62 +139,62 @@ GOLDEN = {
     "exec-editorial-debug": "b1167269205393096e920d58501a4543afebd7b6a13fb0f2a1fef6f7a75d218a",
 }
 MEMBERSHIP_TOTAL = {
-    "paths-ping": 208,
-    "paths-fork": 861,
+    "paths-ping": 128,
+    "paths-fork": 511,
     "paths-fork_unsound": 0,
     "paths-fork_split": 0,
-    "paths-loop2": 405,
-    "paths-mod15": 79475,
-    "paths-two_period": 7596,
-    "paths-forked_periods": 4789,
-    "paths-ping_over_mod15": 208,
-    "paths-editorial": 10607,
-    "exec-ping": 123,
-    "exec-fork": 659,
+    "paths-loop2": 241,
+    "paths-mod15": 42555,
+    "paths-two_period": 4076,
+    "paths-forked_periods": 2615,
+    "paths-ping_over_mod15": 128,
+    "paths-editorial": 5947,
+    "exec-ping": 63,
+    "exec-fork": 343,
     "exec-fork_unsound": 0,
     "exec-fork_split": 0,
-    "exec-loop2": 251,
-    "exec-mod15": 43854,
-    "exec-two_period": 4809,
-    "exec-forked_periods": 3600,
-    "exec-ping_over_mod15": 123,
-    "exec-editorial": 4742,
-    "paths-corpus1": 1836,
-    "paths-corpus7": 36787,
-    "paths-corpus10": 24725,
-    "paths-corpus14": 4967,
-    "paths-corpus15": 26124,
-    "paths-corpus31": 32311,
-    "paths-corpus33": 8275,
-    "paths-corpus38": 4717,
-    "exec-corpus1": 1190,
-    "exec-corpus7": 11967,
-    "exec-corpus10": 12132,
-    "exec-corpus14": 2639,
-    "exec-corpus15": 8387,
-    "exec-corpus31": 14959,
-    "exec-corpus33": 4961,
-    "exec-corpus38": 2524,
-    "paths-ping-debug": 313,
-    "paths-fork-debug": 1379,
+    "exec-loop2": 131,
+    "exec-mod15": 22430,
+    "exec-two_period": 2493,
+    "exec-forked_periods": 1898,
+    "exec-ping_over_mod15": 63,
+    "exec-editorial": 2428,
+    "paths-corpus1": 1040,
+    "paths-corpus7": 20067,
+    "paths-corpus10": 13281,
+    "paths-corpus14": 2747,
+    "paths-corpus15": 14316,
+    "paths-corpus31": 17423,
+    "paths-corpus33": 4571,
+    "paths-corpus38": 2637,
+    "exec-corpus1": 606,
+    "exec-corpus7": 6055,
+    "exec-corpus10": 6248,
+    "exec-corpus14": 1365,
+    "exec-corpus15": 4251,
+    "exec-corpus31": 7657,
+    "exec-corpus33": 2541,
+    "exec-corpus38": 1298,
+    "paths-ping-debug": 233,
+    "paths-fork-debug": 1029,
     "paths-fork_unsound-debug": 0,
     "paths-fork_split-debug": 0,
-    "paths-loop2-debug": 613,
-    "paths-mod15-debug": 130295,
-    "paths-two_period-debug": 12002,
-    "paths-forked_periods-debug": 8094,
-    "paths-ping_over_mod15-debug": 313,
-    "paths-editorial-debug": 16580,
-    "exec-ping-debug": 220,
-    "exec-fork-debug": 1206,
+    "paths-loop2-debug": 449,
+    "paths-mod15-debug": 93375,
+    "paths-two_period-debug": 8482,
+    "paths-forked_periods-debug": 5920,
+    "paths-ping_over_mod15-debug": 233,
+    "paths-editorial-debug": 11920,
+    "exec-ping-debug": 160,
+    "exec-fork-debug": 890,
     "exec-fork_unsound-debug": 0,
     "exec-fork_split-debug": 0,
-    "exec-loop2-debug": 436,
-    "exec-mod15-debug": 75551,
-    "exec-two_period-debug": 8086,
-    "exec-forked_periods-debug": 6441,
-    "exec-ping_over_mod15-debug": 220,
-    "exec-editorial-debug": 8113,
+    "exec-loop2-debug": 316,
+    "exec-mod15-debug": 54127,
+    "exec-two_period-debug": 5770,
+    "exec-forked_periods-debug": 4739,
+    "exec-ping_over_mod15-debug": 160,
+    "exec-editorial-debug": 5799,
 }
 
 
