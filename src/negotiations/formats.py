@@ -46,9 +46,15 @@ def parse(text: str) -> Negotiation:
     for key in obj:
         if key not in required:
             raise ParseError(f"unknown key {key!r}")
+    # a string is iterable, so tuple("pq") would silently read as ("p", "q")
+    if not isinstance(obj["processes"], list):
+        raise ParseError("'processes' must be a list of process names")
     for key in ("actions", "nodes"):
         if not isinstance(obj[key], dict):
             raise ParseError(f"{key!r} must be an object mapping names to process lists")
+        for name, ps in obj[key].items():
+            if not isinstance(ps, list):
+                raise ParseError(f"{key}[{name!r}] must be a list of processes")
     try:
         alphabet = DistributedAlphabet(
             processes=tuple(obj["processes"]),

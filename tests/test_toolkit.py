@@ -91,6 +91,32 @@ class TestJson:
         assert cli.main(["sound", str(path)]) == cli.EXIT_USAGE == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @staticmethod
+    def _string_process_list(key):
+        """The fork fixture's JSON with "pq" where the list ["p", "q"] is."""
+        obj = json.loads(serialize(fixtures.fork()))
+        if key == "processes":
+            obj["processes"] = "pq"
+        else:
+            obj[key][next(iter(obj[key]))] = "pq"
+        return json.dumps(obj)
+
+    @pytest.mark.parametrize("key,message", [
+        ("processes", "'processes' must be a list"),
+        ("actions", r"actions\['c'\] must be a list"),
+        ("nodes", r"nodes\['n0'\] must be a list"),
+    ])
+    def test_string_process_list_rejected(self, key, message):
+        """A string is not read as one process per character."""
+        with pytest.raises(ParseError, match=message):
+            parse(self._string_process_list(key))
+
+    def test_string_process_list_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(self._string_process_list("processes"), encoding="utf-8")
+        assert cli.main(["sound", str(path)]) == cli.EXIT_USAGE == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_local_words(self):
         alpha = fixtures.fork().alphabet
         pi = parse_local_word("c@p x@p d@p", alpha)
