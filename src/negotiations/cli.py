@@ -116,11 +116,12 @@ def cmd_learn(args) -> int:
     if violations:
         print("target is not a valid negotiation", file=sys.stderr)
         return EXIT_FALSE
-    if not soundness.is_sound_semantic(target).sound:
+    # the teacher keeps the verdict, so its first equivalence query reuses it
+    teacher = Teacher(target)
+    if not teacher.target_is_sound():
         print("target is not sound", file=sys.stderr)
         return EXIT_FALSE
     log = []
-    teacher = Teacher(target)
     mode = learn_exec if args.mode == "exec" else learn_paths
     result = mode.learn(teacher, debug=args.debug, log=log)
     if args.output:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from negotiations import cli, soundness
+from negotiations import cli, formats, soundness
 from negotiations.errors import ParseError, StateBudgetExceeded
 from negotiations.formats import (
     export_dot,
@@ -313,6 +313,32 @@ class TestCli:
         assert capsys.readouterr().out.strip() == verdict
         assert code == (cli.EXIT_OK if verdict == "equivalent" else cli.EXIT_FALSE)
         assert len(calls) == decisions
+
+    @pytest.mark.parametrize("name,code", [("fork", cli.EXIT_OK), ("fork_unsound", cli.EXIT_FALSE)])
+    @pytest.mark.parametrize("mode", ["exec", "paths"])
+    def test_learn_decides_target_soundness_once(self, name, code, mode, tmp_path, monkeypatch,
+                                                 capsys):
+        """`learn` decides the target's soundness once; the teacher's
+        equivalence queries reuse the verdict."""
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize(getattr(fixtures, name)()), encoding="utf-8")
+        loaded, calls = [], []
+        load = formats.load
+
+        def loading(p):
+            loaded.append(load(p))
+            return loaded[-1]
+
+        def counting(n, **kwargs):
+            calls.append(n)
+            return is_sound_semantic(n, **kwargs)
+
+        monkeypatch.setattr(formats, "load", loading)
+        monkeypatch.setattr(soundness, "is_sound_semantic", counting)
+        assert cli.main(["learn", str(path), "--mode", mode]) == code
+        err = capsys.readouterr().err
+        assert ("target is not sound" in err) == (code == cli.EXIT_FALSE)
+        assert sum(n is loaded[0] for n in calls) == 1
 
     def test_equiv_searches_the_product_only_for_unsound_pairs(self, tmp_path, monkeypatch,
                                                                capsys):
