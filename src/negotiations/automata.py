@@ -115,29 +115,26 @@ def minimize(dfa: PartialDfa) -> PartialDfa:
             return _SINK
         return dfa.delta.get((s, l), _SINK)
 
-    # Moore refinement: split blocks by (block of successor per letter).
+    # Moore refinement: split blocks by (block of successor per letter),
+    # numbering the classes in first-seen order; the canonical renaming
+    # below makes the numbering irrelevant.
     block = {s: (s in dfa.finals) for s in states}
     while True:
-        sig = {s: (block[s], tuple(block[target(s, l)] for l in letters)) for s in states}
-        classes = {}
-        for s in states:
-            classes.setdefault(sig[s], []).append(s)
-        new_block = {}
-        for i, (_, members) in enumerate(sorted(classes.items(), key=lambda kv: str(kv[0]))):
-            for s in members:
-                new_block[s] = i
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
-            break
+        ids = {}
+        new_block = {s: ids.setdefault((block[s], tuple(block[target(s, l)] for l in letters)),
+                                       len(ids))
+                     for s in states}
+        stable = len(ids) == len(set(block.values()))
         block = new_block
+        if stable:
+            break
 
     sink_class = block[_SINK]
-    class_of = {s: block[s] for s in dfa.states if block[s] != sink_class}
-    if not class_of:
-        return PartialDfa(dfa.alphabet, ("s0",), {}, "s0", frozenset())
     init_class = block[dfa.init]
+    # the empty language: every state, the initial one included, is dead
     if init_class == sink_class:
         return PartialDfa(dfa.alphabet, ("s0",), {}, "s0", frozenset())
+    class_of = {s: block[s] for s in dfa.states if block[s] != sink_class}
     delta = {}
     finals = set()
     for s in dfa.states:
@@ -251,11 +248,4 @@ def neg_equiv(n1: Negotiation, n2: Negotiation) -> bool:
     canonical minimal DFAs of their local-path languages."""
     if n1.alphabet != n2.alphabet:
         raise AlphabetMismatch("negotiations use different distributed alphabets")
-    d1 = minimize(paths_dfa(n1))
-    d2 = minimize(paths_dfa(n2))
-    return (
-        d1.states == d2.states
-        and d1.delta == d2.delta
-        and d1.init == d2.init
-        and d1.finals == d2.finals
-    )
+    return minimize(paths_dfa(n1)) == minimize(paths_dfa(n2))
