@@ -187,8 +187,9 @@ def is_dom_complete(dfa: PartialDfa):
         for a in acts:
             present = {p for (b, p) in letters if b == a}
             missing = alpha.dom_set(a) - present
+            first = min(present, key=alpha.proc_index)
             for p in sorted(missing, key=alpha.proc_index):
-                violations.append(f"state {s!r}: {a}@{next(iter(present))} present but {a}@{p} missing")
+                violations.append(f"state {s!r}: {a}@{first} present but {a}@{p} missing")
         doms = {alpha.dom_set(a) for a in acts}
         if len(doms) > 1:
             violations.append(f"state {s!r}: outgoing actions {sorted(acts)} have differing domains")
@@ -198,13 +199,10 @@ def is_dom_complete(dfa: PartialDfa):
     return (not violations, violations)
 
 
-def negotiation_from_dfa(dfa: PartialDfa, dnode_hints: dict | None = None) -> Negotiation:
+def negotiation_from_dfa(dfa: PartialDfa) -> Negotiation:
     """Rebuild a negotiation from a dom-complete DFA with a unique sink final.
-
-    `dnode_hints` optionally supplies domains for non-final states without
-    outgoing letters (learner hypotheses contain such states; trimmed minimal
-    DFAs never do).
-    """
+    Each non-final state takes the domain of its outgoing actions, so every
+    non-final state needs one, as in a trimmed minimal DFA."""
     ok, violations = is_dom_complete(dfa)
     if not ok:
         raise NotDomComplete("; ".join(violations))
@@ -222,10 +220,8 @@ def negotiation_from_dfa(dfa: PartialDfa, dnode_hints: dict | None = None) -> Ne
             dnode[s] = full
         elif letters:
             dnode[s] = alpha.dom[letters[0][0]]
-        elif dnode_hints and s in dnode_hints:
-            dnode[s] = tuple(p for p in alpha.processes if p in set(dnode_hints[s]))
         else:
-            raise NotDomComplete(f"state {s!r} has no outgoing letters and no domain hint")
+            raise NotDomComplete(f"state {s!r} has no outgoing letters")
     delta = {(s, a, p): t for (s, (a, p)), t in dfa.delta.items()}
     return Negotiation(
         alphabet=alpha,

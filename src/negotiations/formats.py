@@ -35,7 +35,7 @@ def serialize(n: Negotiation) -> str:
 def parse(text: str) -> Negotiation:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level value must be an object")

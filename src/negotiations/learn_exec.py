@@ -24,7 +24,7 @@ from .errors import (
     Unclassifiable,
 )
 from .learner import ROUND_CAP, Hypothesis, Learner, flip_index
-from .model import Negotiation, validate
+from .model import Negotiation
 from .teacher import POSITIVE, Teacher
 
 # which side of the descent invariant currently fails its test
@@ -65,6 +65,7 @@ class ExecLearner(Learner):
     # in this class's own namespace, where bench/tracer.py wraps them
     find_rep = Learner.find_rep
     restore_closure = Learner.restore_closure
+    build_hypothesis = Learner.build_hypothesis
 
     def canon(self, w) -> tuple:
         return traces.normal_form(self.alpha, tuple(w))
@@ -82,24 +83,10 @@ class ExecLearner(Learner):
 
     # -- hypothesis ----------------------------------------------------------
 
-    def build_hypothesis(self) -> Hypothesis:
-        reps = self.restore_closure()
-        final = self.final_word()
-        id_of = {u: f"q{i}" for i, u in enumerate(self.q)}
-        dnode = {}
-        for u in self.q:
-            if u == final:
-                continue
-            t = self.passing_test(u)
-            if t is None:
-                raise InvariantViolation(f"Pref broken: no passing test for {u}")
-            head = traces.min_action(self.alpha, t)
-            dnode[id_of[u]] = self.alpha.dom[head]
-        hyp = self.assemble(id_of, dnode, self.transition_delta(id_of, reps), final)
-        problems = validate(hyp.negotiation)
-        if problems:
-            raise InvariantViolation("hypothesis fails validation: " + "; ".join(problems))
-        return hyp
+    def node_domain(self, u):
+        """dom of the least minimal action of u's first passing test."""
+        t = self.passing_test(u)
+        return None if t is None else self.alpha.dom[traces.min_action(self.alpha, t)]
 
     # -- the two extension operations ----------------------------------------
 

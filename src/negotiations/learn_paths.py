@@ -14,7 +14,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from . import traces
-from .automata import PartialDfa, negotiation_from_dfa
 from .errors import InvariantViolation, LearnerBug, NoSplit, Unclassifiable
 from .learner import Hypothesis, Learner, flip_index
 from .model import Negotiation
@@ -44,6 +43,7 @@ class PathLearner(Learner):
     # in this class's own namespace, where bench/tracer.py wraps them
     find_rep = Learner.find_rep
     restore_closure = Learner.restore_closure
+    build_hypothesis = Learner.build_hypothesis
 
     def transitions(self):
         for u in self.q:
@@ -52,32 +52,13 @@ class PathLearner(Learner):
 
     # -- hypothesis ----------------------------------------------------------
 
-    def build_hypothesis(self) -> Hypothesis:
-        reps = self.restore_closure()
-        final = self.final_word()
-        id_of = {u: f"q{i}" for i, u in enumerate(self.q)}
-        delta = self.transition_delta(id_of, reps)
-        hints = {}
-        for u in self.q:
-            if u == final or self.out[u]:
-                continue
-            t = self.passing_test(u)
-            if t is None:
-                raise InvariantViolation(f"Pref broken: no passing test for {u}")
-            hints[id_of[u]] = self.alpha.dom[t[0][0]]
-        if final is None:
-            dnode = {id_of[u]: self.alpha.dom[self.out[u][0][0]] if self.out[u] else hints[id_of[u]]
-                     for u in self.q}
-            return self.assemble(id_of, dnode, delta, None)
-        dfa = PartialDfa(
-            alphabet=self.alpha,
-            states=tuple(id_of[u] for u in self.q),
-            delta={(s, (a, p)): t for (s, a, p), t in delta.items()},
-            init=id_of[self.q[0]],
-            finals=frozenset({id_of[final]}),
-        )
-        neg = negotiation_from_dfa(dfa, dnode_hints=hints)
-        return Hypothesis(neg, id_of, {i: u for u, i in id_of.items()}, id_of[final])
+    def node_domain(self, u):
+        """dom of u's first outgoing letter; for a state with none yet, of
+        the first letter of its first passing test."""
+        if self.out[u]:
+            return self.alpha.dom[self.out[u][0][0]]
+        t = self.passing_test(u)
+        return None if t is None else self.alpha.dom[t[0][0]]
 
     # -- counterexample analysis ----------------------------------------------
 

@@ -6,9 +6,9 @@ bisection for where a counterexample's membership answer flips (Rivest &
 Schapire 1993). They differ in the words: `learn_paths` concatenates local
 paths as tuples, `learn_exec` takes executions up to trace equivalence. A
 subclass binds `_query` to its teacher query and supplies `canon`,
-`check_test`, `bootstrap`, `transitions`, `build_hypothesis`,
-`counterexample` and `verify_table`. Each `build_hypothesis` starts with
-`restore_closure`, the one pass that closes the table, runs the debug
+`check_test`, `bootstrap`, `transitions`, `node_domain`, `counterexample`
+and `verify_table`. `build_hypothesis` builds every hypothesis: it starts
+with `restore_closure`, the one pass that closes the table, runs the debug
 invariant checks and maps every transition to its representative.
 """
 
@@ -19,7 +19,7 @@ from itertools import chain
 
 from . import traces
 from .errors import InvariantViolation, LearnerBug, Unclassifiable
-from .model import Negotiation, empty_negotiation
+from .model import Negotiation, empty_negotiation, validate
 from .teacher import POSITIVE, Teacher
 
 ROUND_CAP = 100_000
@@ -31,7 +31,6 @@ class Hypothesis:
     negotiation: Negotiation
     id_of: dict  # Q word -> node id
     word_of: dict  # node id -> Q word
-    fin_id: str
 
 
 def flip_index(g, lo, hi, g_lo) -> int:
@@ -128,25 +127,37 @@ class Learner:
             raise InvariantViolation(f"two accepted state words: {finals[:2]}")
         return finals[0] if finals else None
 
-    def transition_delta(self, id_of, reps) -> dict:
-        """(node, action, process) -> node of each transition's representative,
-        from the map `restore_closure` returns."""
-        return {(id_of[u], a, p): id_of[rep] for (u, (a, p)), rep in reps.items()}
-
-    def assemble(self, id_of, dnode, delta, final) -> Hypothesis:
-        """The hypothesis over Q, its final node spanning all processes; with
-        no accepted state word yet, a language-empty one around a fresh,
-        unreachable final node."""
-        nodes = tuple(id_of[u] for u in self.q)
+    def build_hypothesis(self) -> Hypothesis:
+        """The hypothesis over the closed table: node q<i> for the i-th state
+        word, each transition to its representative's node, the final node
+        spanning all processes and every other node the domain the
+        `node_domain(u)` hook gives (None when `u` passes no nonempty test).
+        With no accepted state word yet, it is a language-empty one around a
+        fresh, unreachable final node."""
+        reps = self.restore_closure()
+        final = self.final_word()
+        id_of = {u: f"q{i}" for i, u in enumerate(self.q)}
+        nodes = tuple(id_of.values())
         if final is None:
-            fin_id = FRESH_FIN
-            nodes += (fin_id,)
+            fin = FRESH_FIN
+            nodes += (fin,)
         else:
-            fin_id = id_of[final]
-        dnode[fin_id] = tuple(self.alpha.processes)
+            fin = id_of[final]
+        dnode = {fin: tuple(self.alpha.processes)}
+        for u in self.q:
+            if u == final:
+                continue
+            dom = self.node_domain(u)
+            if dom is None:
+                raise InvariantViolation(f"Pref broken: no passing test for {u}")
+            dnode[id_of[u]] = dom
+        delta = {(id_of[u], a, p): id_of[rep] for (u, (a, p)), rep in reps.items()}
         neg = Negotiation(alphabet=self.alpha, nodes=nodes, dnode=dnode, delta=delta,
-                          init=id_of[self.q[0]], fin=fin_id)
-        return Hypothesis(neg, id_of, {i: u for u, i in id_of.items()}, fin_id)
+                          init=id_of[self.q[0]], fin=fin)
+        problems = validate(neg)
+        if problems:
+            raise InvariantViolation("hypothesis fails validation: " + "; ".join(problems))
+        return Hypothesis(neg, id_of, {i: u for u, i in id_of.items()})
 
     def _walk(self, hyp: Hypothesis, letters):
         """Nodes (as Q words) of the hypothesis walk from init along letters,
@@ -165,7 +176,7 @@ class Learner:
         """First process not at the final node after a fully executed
         positive counterexample."""
         for p in self.alpha.processes:
-            if pre.end.node_of(p) != hyp.fin_id:
+            if pre.end.node_of(p) != hyp.negotiation.fin:
                 return p
         raise Unclassifiable("positive counterexample accepted by the hypothesis")
 

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
+
+import negotiations
 
 from negotiations.automata import (
     PartialDfa,
@@ -166,6 +172,25 @@ class TestDomComplete:
         ok, violations = is_dom_complete(dfa)
         assert not ok
         assert any("full process domain" in v for v in violations)
+
+
+    def test_message_independent_of_hash_seed(self):
+        """The present letter named in a violation is the first in process
+        order, whatever order the set of present processes iterates in."""
+        code = (
+            "from negotiations.automata import PartialDfa, is_dom_complete\n"
+            "from negotiations.model import DistributedAlphabet\n"
+            "alpha = DistributedAlphabet(('p0', 'p1', 'p2'), ('a',), {'a': ('p0', 'p1', 'p2')})\n"
+            "dfa = PartialDfa(alpha, ('s0', 's1'), {('s0', ('a', 'p1')): 's1',"
+            " ('s0', ('a', 'p2')): 's1'}, 's0', frozenset({'s1'}))\n"
+            "print(is_dom_complete(dfa)[1][0])\n"
+        )
+        src = os.path.dirname(os.path.dirname(negotiations.__file__))
+        for seed in range(6):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            assert out == "state 's0': a@p1 present but a@p0 missing\n", (seed, out)
 
 
 class TestNegotiationFromDfa:

@@ -219,7 +219,7 @@ def _fork_learner_state(redirect_d_q=False, split_join=False, drop_d=False):
         init=ids[eps],
         fin=ids[finw],
     )
-    hyp = Hypothesis(neg, ids, {i: u for u, i in ids.items()}, ids[finw])
+    hyp = Hypothesis(neg, ids, {i: u for u, i in ids.items()})
     return teacher, learner, hyp
 
 
@@ -247,7 +247,7 @@ class TestDescent:
         neg = hyp.negotiation
         delta = {k: v for k, v in neg.delta.items() if k[0] != hyp.id_of[("c", "c", "x", "y")]}
         neg2 = Negotiation(neg.alphabet, neg.nodes, neg.dnode, delta, neg.init, neg.fin)
-        hyp2 = Hypothesis(neg2, hyp.id_of, hyp.word_of, hyp.fin_id)
+        hyp2 = Hypothesis(neg2, hyp.id_of, hyp.word_of)
         for pr in ("p", "q"):
             learner.supports.pop((("c", "c", "x", "y"), "d", pr))
         inst = learner.handle_positive(hyp2, ("c", "x", "y", "d"))
@@ -361,7 +361,7 @@ class TestMakeSoundConversions:
             init="q0",
             fin="qF",
         )
-        hyp = Hypothesis(neg, ids, {i: u for u, i in ids.items()}, "qF")
+        hyp = Hypothesis(neg, ids, {i: u for u, i in ids.items()})
         witness = CWitness(entry_path=(("s", "p"),), cycle_path=(("g", "p"), ("h", "p")))
         from negotiations.soundness import verify_witness
 
@@ -394,6 +394,21 @@ def test_build_hypothesis_closes_the_table(cls, name):
         implicit.counterexample(a, ans.sign, ans.word)
         explicit.counterexample(b, ans.sign, ans.word)
     raise AssertionError("did not converge")
+
+
+@pytest.mark.parametrize("cls", [ExecLearner, PathLearner])
+def test_broken_table_fails_validation(cls):
+    """A table that lost one letter of the two-process action c out of the
+    initial state yields no hypothesis, also with debug off."""
+    teacher = Teacher(fixtures.fork())
+    learner = cls(teacher, debug=False)
+    learner.bootstrap(teacher.equiv_query(empty_negotiation(teacher.target.alphabet)).word)
+    if cls is PathLearner:
+        learner.out[()].remove(("c", "q"))
+    else:
+        del learner.supports[((), "c", "q")]
+    with pytest.raises(InvariantViolation, match="hypothesis fails validation"):
+        learner.build_hypothesis()
 
 
 class TestHypothesisConstruction:
