@@ -12,7 +12,6 @@ from .errors import (
     AlphabetMismatch,
     FinalHasOutgoing,
     MultipleFinals,
-    NoTransition,
     NotDomComplete,
 )
 from .model import DistributedAlphabet, Negotiation, bfs, reach
@@ -53,15 +52,6 @@ class PartialDfa:
             if s is None:
                 return False
         return s in self.finals
-
-    def run(self, word) -> str:
-        s = self.init
-        for i, letter in enumerate(word):
-            nxt = self.delta.get((s, tuple(letter)))
-            if nxt is None:
-                raise NoTransition(i, tuple(letter), s)
-            s = nxt
-        return s
 
 
 def paths_dfa(n: Negotiation) -> PartialDfa:
@@ -104,8 +94,8 @@ _SINK = "__sink__"
 
 
 def minimize(dfa: PartialDfa) -> PartialDfa:
-    """Complete with a sink, refine partitions Moore-style, strip the sink
-    class, trim, and rename canonically by BFS order."""
+    """Trim, complete with a sink, refine partitions Moore-style, strip the
+    sink class, and rename canonically by BFS order."""
     letters = dfa.alphabet.local_letters()
     dfa = trim(dfa)
     states = list(dfa.states) + [_SINK]
@@ -153,24 +143,24 @@ def minimize(dfa: PartialDfa) -> PartialDfa:
         init=init_class,
         finals=frozenset(finals),
     )
-    return canonical_relabel(trim(merged))
+    # trimming first left every state live, so the quotient is trim too
+    return canonical_relabel(merged)
 
 
 def canonical_relabel(dfa: PartialDfa) -> PartialDfa:
     """Deterministic BFS renaming s0, s1, ... expanding letters in declared
-    order; minimal DFAs of the same language become structurally equal."""
+    order; minimal DFAs of the same language become structurally equal.
+    Every state of `dfa` must be reachable from its initial state."""
     letters = dfa.alphabet.local_letters()
 
     def moves(s):
         return [(l, dfa.delta[(s, l)]) for l in letters if (s, l) in dfa.delta]
 
     found, _ = bfs(dfa.init, moves)
-    # unreachable states survive only in untrimmed automata
-    order = list(found) + [s for s in dfa.states if s not in found]
-    name = {s: f"s{i}" for i, s in enumerate(order)}
+    name = {s: f"s{i}" for i, s in enumerate(found)}
     return PartialDfa(
         alphabet=dfa.alphabet,
-        states=tuple(name[s] for s in order),
+        states=tuple(name.values()),
         delta={(name[s], l): name[t] for (s, l), t in dfa.delta.items()},
         init=name[dfa.init],
         finals=frozenset(name[s] for s in dfa.finals),

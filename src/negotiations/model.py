@@ -8,15 +8,16 @@ graph that backs the soundness and equivalence oracles.
 
 `enabled`, `enabled_actions` and `step` are the reference semantics. The
 searches over the configuration space (`configuration_graph`, so semantic
-soundness; `compute_I`; the teacher's product search) run instead on one
-successor kernel, `successor_function`, over plain node tuples. Building it
-reads `delta` once, in O(|delta|). Expanding a configuration then costs
-O(d*k + s*|P|) for its d distinct occupied nodes, domains of at most k
-processes and s successors: no scan of all nodes, no `Configuration` built
-per step, and tuple hashes instead of dataclass hashes in the visited sets.
-At a configuration where a move that only an invalid negotiation has is
-fireable, the kernel raises `CheckedMove` and the search expands that
-configuration by `enabled_actions` and `step` instead.
+soundness; `compute_I`; the product search through `product_moves`) run
+instead on one successor kernel, `successor_function`, over plain node
+tuples. Building it reads `delta` once, in O(|delta|). Expanding a
+configuration then costs O(d*k + s*|P|) for its d distinct occupied nodes,
+domains of at most k processes and s successors: no scan of all nodes, no
+`Configuration` built per step, and tuple hashes instead of dataclass hashes
+in the visited sets. The choice is made once per negotiation, when the
+kernel is built: a negotiation holding a move that only an invalid one has
+gets no kernel, and its searches expand every configuration by
+`enabled_actions` and `step`, so it raises exactly where they raise.
 
 Graph searches use `reach` for reachability sets and `bfs` (with `path`
 reading a label path out of its parent map) where discovery order, shortest
@@ -193,10 +194,6 @@ class Negotiation:
     def out(self, n) -> tuple:
         """Actions with at least one transition leaving `n`."""
         return self._out[n]
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes) + len(self.delta)
 
     def initial_configuration(self) -> Configuration:
         return Configuration.uniform(self.alphabet, self.init)
@@ -396,27 +393,27 @@ def member_path(n: Negotiation, pi) -> bool:
         return False
 
 
-class CheckedMove(Exception):
-    """Raised by a successor kernel at a configuration where a move that
-    only an invalid negotiation has (dom(a) not a subset of dnode(m)) is
-    fireable. The searches catch it and expand that configuration with
-    `enabled_actions` and `step`, the reference semantics."""
+def successor_function(n: Negotiation):
+    """The successor kernel of `n` over node tuples, or None.
 
+    Returns `expand(nodes) -> (enabled nodes, moves)` for the configuration
+    whose node tuple (declared process order) is `nodes`: the nodes whose
+    whole domain sits at them, and the actions fireable there in declared
+    action order, each with the node tuple it leads to -- `enabled_nodes`,
+    `enabled_actions` and `step` without a `Configuration`. Only the
+    distinct nodes occurring in `nodes` are looked at: a node elsewhere
+    holds none of its processes. `delta` is read once, here; nothing is
+    cached on `n`.
 
-def _expansion(n: Negotiation):
-    """`expand(nodes) -> (enabled nodes, moves)` over node tuples; the
-    kernel behind `successor_function` and `compute_I`.
-
-    A node is enabled when every process of its domain sits at it in
-    `nodes`. Only the distinct nodes occurring in `nodes` are looked at: a
-    node elsewhere holds none of its processes. A move (m, a) with dom(a) a
-    subset of dnode(m), the only kind a valid negotiation has, fires by
-    writing its precomputed targets; any other fireable move raises
-    `CheckedMove`.
+    Returns None when `delta` holds a complete move (m, a) with dom(a) not
+    a subset of dnode(m), which only an invalid negotiation has: the
+    searches over `n` then run on the reference semantics at every
+    configuration, so such a move fires, or raises, exactly where `step`
+    does.
     """
     procs = n.alphabet.processes
     pos = {p: i for i, p in enumerate(procs)}
-    # node -> (get, want, [(action index, action, targets or None)]), where
+    # node -> (get, want, [(action index, action, targets)]), where
     # get(nodes) == want exactly when the node is enabled
     table = {}
     for m in n.nodes:
@@ -426,8 +423,9 @@ def _expansion(n: Negotiation):
             dom = n.alphabet.dom[a]
             if not all((m, a, p) in n.delta for p in dom):
                 continue
-            checked = not n.alphabet.dom_set(a) <= n.dnode_set(m)
-            targets = None if checked else tuple((pos[p], n.delta[(m, a, p)]) for p in dom)
+            if not n.alphabet.dom_set(a) <= n.dnode_set(m):
+                return None
+            targets = tuple((pos[p], n.delta[(m, a, p)]) for p in dom)
             moves.append((n.alphabet.action_index(a), a, targets))
         table[m] = (itemgetter(*idx), m if len(idx) == 1 else (m,) * len(idx), moves)
 
@@ -443,8 +441,6 @@ def _expansion(n: Negotiation):
             fireable.sort(key=itemgetter(0))
         out = []
         for _, a, targets in fireable:
-            if targets is None:
-                raise CheckedMove(a)
             nxt = list(nodes)
             for i, t in targets:
                 nxt[i] = t
@@ -454,33 +450,51 @@ def _expansion(n: Negotiation):
     return expand
 
 
-def successor_function(n: Negotiation):
-    """The successor kernel of `n` over node tuples.
-
-    Returns `succ(nodes) -> [(action, next_nodes), ...]`: the actions
-    fireable in the configuration whose node tuple (declared process order)
-    is `nodes`, in declared action order, each with the node tuple it leads
-    to -- `enabled_actions` and `step` without a `Configuration`. `delta` is
-    read once, here; nothing is cached on `n`. On an invalid negotiation
-    `succ` may raise `CheckedMove` (see there).
-    """
-    expand = _expansion(n)
-
-    def succ(nodes: tuple) -> list:
-        return expand(nodes)[1]
-
-    return succ
-
-
 def _stepwise_moves(n: Negotiation, nodes: tuple, reverse: bool = False):
     """The moves of `nodes` by `enabled_actions` and `step`, fired one at a
-    time. A search falls back to this when the kernel raises `CheckedMove`,
-    so a bad move fires exactly where the reference semantics fires it
-    (after the moves before it, and their budget checks)."""
+    time: the searches' expansion when `n` has no kernel. A bad move fires,
+    or raises, where the reference semantics does (after the moves before
+    it, and their budget checks)."""
     c = Configuration(n.alphabet.processes, nodes)
     acts = enabled_actions(n, c)
     for a in reversed(acts) if reverse else acts:
         yield a, step(n, c, a).nodes
+
+
+def _stepwise_product_moves(t: Negotiation, h: Negotiation, c1, c2):
+    """The product moves of (c1, c2) by `enabled_actions` and `step`, fired
+    one action at a time, target side first; None is the dead side."""
+    s1 = Configuration(t.alphabet.processes, c1) if c1 is not None else None
+    s2 = Configuration(h.alphabet.processes, c2) if c2 is not None else None
+    acts1 = set(enabled_actions(t, s1)) if s1 is not None else set()
+    acts2 = set(enabled_actions(h, s2)) if s2 is not None else set()
+    for a in t.alphabet.actions:
+        if a in acts1 or a in acts2:
+            n1 = step(t, s1, a).nodes if a in acts1 else None
+            n2 = step(h, s2, a).nodes if a in acts2 else None
+            yield a, (n1, n2)
+
+
+def product_moves(t: Negotiation, h: Negotiation):
+    """`moves(pair)` for a `bfs` over the synchronized product of `t` and
+    `h` (same alphabet), on pairs of node tuples: each action enabled on
+    either side, in declared action order, with the pair it leads to; a
+    side where the action is not enabled goes to the dead sink, None, and
+    stays there. Runs on both kernels when both sides have one, else on the
+    reference semantics for every pair (see `successor_function`)."""
+    expand_t, expand_h = successor_function(t), successor_function(h)
+    if expand_t is None or expand_h is None:
+        return lambda pair: _stepwise_product_moves(t, h, *pair)
+    rank = t.alphabet.action_index
+
+    def moves(pair):
+        c1, c2 = pair
+        moves1 = dict(expand_t(c1)[1]) if c1 is not None else {}
+        moves2 = dict(expand_h(c2)[1]) if c2 is not None else {}
+        return [(a, (moves1.get(a), moves2.get(a)))
+                for a in sorted(moves1.keys() | moves2.keys(), key=rank)]
+
+    return moves
 
 
 @dataclass
@@ -519,7 +533,7 @@ class ConfigurationGraph:
 def configuration_graph(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> ConfigurationGraph:
     """The reachable configuration graph by BFS over node tuples; raises
     StateBudgetExceeded past `budget` vertices."""
-    succ = successor_function(n)
+    expand = successor_function(n)
     init = n.initial_configuration().nodes
     index = {init: 0}
     order = [init]
@@ -527,10 +541,7 @@ def configuration_graph(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> C
     # not `bfs`: edges go to seen successors too, by index; keeping the
     # moves to rebuild them would hold one node tuple per edge
     for c in order:  # BFS: `order` grows while it is walked
-        try:
-            moves = succ(c)
-        except CheckedMove:
-            moves = _stepwise_moves(n, c)
+        moves = expand(c)[1] if expand is not None else _stepwise_moves(n, c)
         outs = []
         for a, c2 in moves:
             j = index.get(c2)
@@ -554,17 +565,16 @@ def compute_I(n: Negotiation, node, budget: int = DEFAULT_STATE_BUDGET, reverse_
     if node not in set(n.nodes):
         raise ValueError(f"unknown node {node!r}")
     procs = n.alphabet.processes
-    expand = _expansion(n)
+    expand = successor_function(n)
     found = None
 
     def moves(c):
         nonlocal found
-        try:
-            enabled, out = expand(c)
-        except CheckedMove:
+        if expand is None:
             enabled = list(enabled_nodes(n, Configuration(procs, c)))
             out = _stepwise_moves(n, c, reverse_ties)
         else:
+            enabled, out = expand(c)
             if reverse_ties:
                 out.reverse()
         if enabled == [node]:  # tested on expansion, before any of c's moves
@@ -583,14 +593,14 @@ def compute_I(n: Negotiation, node, budget: int = DEFAULT_STATE_BUDGET, reverse_
     return Configuration(procs, found)
 
 
-def empty_negotiation(alphabet: DistributedAlphabet, init="n_init", fin="n_fin") -> Negotiation:
+def empty_negotiation(alphabet: DistributedAlphabet) -> Negotiation:
     """Two nodes, no transitions; the bootstrap hypothesis of both learners."""
     full = tuple(alphabet.processes)
     return Negotiation(
         alphabet=alphabet,
-        nodes=(init, fin),
-        dnode={init: full, fin: full},
+        nodes=("n_init", "n_fin"),
+        dnode={"n_init": full, "n_fin": full},
         delta={},
-        init=init,
-        fin=fin,
+        init="n_init",
+        fin="n_fin",
     )

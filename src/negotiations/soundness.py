@@ -327,7 +327,7 @@ def _simple_paths(edges, start, budget, forbidden=frozenset()):
             stack.append((nodes + [t], labels + [letter]))
 
 
-def find_pattern_F(n: Negotiation, pair_budget: int = DEFAULT_PAIR_BUDGET):
+def find_pattern_F(n: Negotiation):
     """Fork divergence: from some reachable node and action, two processes
     can reach two distinct nodes (both containing them) by node-disjoint
     local paths.
@@ -348,9 +348,9 @@ def find_pattern_F(n: Negotiation, pair_budget: int = DEFAULT_PAIR_BUDGET):
                     s2 = n.delta.get((m, a, p2))
                     if s1 is None or s2 is None or s1 == s2:
                         continue
-                    if not _pair_filter(n, s1, s2, p1, p2, p_edges, pair_budget):
+                    if not _pair_filter(n, s1, s2, p1, p2, p_edges, DEFAULT_PAIR_BUDGET):
                         continue
-                    hit = _disjoint_pair(n, s1, s2, p1, p2, p_edges, pair_budget)
+                    hit = _disjoint_pair(n, s1, s2, p1, p2, p_edges, DEFAULT_PAIR_BUDGET)
                     if hit is not None:
                         path1, path2 = hit
                         return FWitness(m, a, p1, p2, path1, path2, path(fwd, m))

@@ -14,16 +14,12 @@ from . import automata, soundness, traces
 from .errors import AlphabetMismatch
 from .model import (
     DEFAULT_STATE_BUDGET,
-    CheckedMove,
-    Configuration,
     Negotiation,
     bfs,
-    enabled_actions,
     member_exec,
     member_path,
     path,
-    step,
-    successor_function,
+    product_moves,
 )
 
 POSITIVE = "positive"
@@ -53,9 +49,6 @@ class EquivAnswer:
     word: tuple | None = None
 
 
-_DEAD = None
-
-
 class Teacher:
     """Answers queries about a fixed target negotiation.
 
@@ -74,12 +67,16 @@ class Teacher:
     # -- membership ---------------------------------------------------------
 
     def member_path_query(self, pi) -> bool:
-        pi = tuple(tuple(l) for l in pi)
+        try:  # the word as given, so a hit rebuilds no key
+            answer = self._path_cache[pi]
+        except (KeyError, TypeError):  # a miss, or letters given as lists
+            pi = tuple(tuple(l) for l in pi)
+            answer = self._path_cache.get(pi)
         self.stats.membership_total += 1
-        if pi not in self._path_cache:
+        if answer is None:
             self.stats.membership_distinct += 1
-            self._path_cache[pi] = member_path(self.target, pi)
-        return self._path_cache[pi]
+            answer = self._path_cache[pi] = member_path(self.target, pi)
+        return answer
 
     def member_exec_query(self, w) -> bool:
         key = traces.normal_form(self.target.alphabet, tuple(w))
@@ -127,47 +124,18 @@ class Teacher:
         return answer
 
     def _product_search(self, hypothesis: Negotiation) -> EquivAnswer:
-        """BFS over the synchronized product of the two configuration graphs,
-        on node tuples; a side goes to the dead sink (None) when a letter is
-        not enabled there. Expansion follows declared action order, so the
-        first difference found is the shortest, lexicographically least
-        counterexample."""
+        """BFS over the synchronized product of the two configuration graphs
+        (`model.product_moves`), stopping at the first pair where exactly
+        one side is final. Expansion follows declared action order, so that
+        pair gives the shortest, lexicographically least counterexample."""
         t, h = self.target, hypothesis
-        succ_t, succ_h = successor_function(t), successor_function(h)
-        rank = t.alphabet.action_index
         t_fin = t.final_configuration().nodes
         h_fin = h.final_configuration().nodes
-
-        def moves(state):
-            c1, c2 = state
-            try:
-                moves1 = dict(succ_t(c1)) if c1 is not _DEAD else {}
-                moves2 = dict(succ_h(c2)) if c2 is not _DEAD else {}
-            except CheckedMove:
-                return _stepwise_product_moves(t, h, c1, c2)
-            return [(a, (moves1.get(a), moves2.get(a)))
-                    for a in sorted(moves1.keys() | moves2.keys(), key=rank)]
-
         start = (t.initial_configuration().nodes, h.initial_configuration().nodes)
-        parent, hit = bfs(start, moves, stop=lambda s: (s[0] == t_fin) != (s[1] == h_fin),
+        parent, hit = bfs(start, product_moves(t, h),
+                          stop=lambda s: (s[0] == t_fin) != (s[1] == h_fin),
                           budget=self.state_budget,
                           budget_error=f"equivalence product exceeds {self.state_budget} states")
         if hit is None:
             return EquivAnswer(True)
         return EquivAnswer(False, POSITIVE if hit[0] == t_fin else NEGATIVE, path(parent, hit))
-
-
-def _stepwise_product_moves(t: Negotiation, h: Negotiation, c1, c2):
-    """The product moves of (c1, c2) by `enabled_actions` and `step`, fired
-    one action at a time, target side first. The search falls back to this
-    when a kernel raises `CheckedMove`, so an invalid side raises exactly
-    where the reference semantics does."""
-    s1 = Configuration(t.alphabet.processes, c1) if c1 is not _DEAD else _DEAD
-    s2 = Configuration(h.alphabet.processes, c2) if c2 is not _DEAD else _DEAD
-    acts1 = set(enabled_actions(t, s1)) if s1 is not _DEAD else set()
-    acts2 = set(enabled_actions(h, s2)) if s2 is not _DEAD else set()
-    for a in t.alphabet.actions:
-        if a in acts1 or a in acts2:
-            n1 = step(t, s1, a).nodes if a in acts1 else _DEAD
-            n2 = step(h, s2, a).nodes if a in acts2 else _DEAD
-            yield a, (n1, n2)

@@ -1,9 +1,12 @@
-"""Fuzzing the JSON format: `formats.parse` answers every document with a
-`Negotiation` or a `ParseError`, and serialization is a fixed point of
-parsing. The examples are derandomized, so every run checks the same ones."""
+"""Fuzzing the JSON format and the command line: `formats.parse` answers
+every document with a `Negotiation` or a `ParseError`, serialization is a
+fixed point of parsing, and `neg` answers any file or word with an exit
+code. The examples are derandomized, so every run checks the same ones."""
 
 import copy
 import json
+import pathlib
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -56,24 +59,95 @@ def json_values(known):
     )
 
 
+def any_json(doc, old):
+    return json_values(names(doc))
+
+
+def substituted(data, fixtures=FIXTURES, values=any_json):
+    """A fixture's JSON document with one field, or the whole document,
+    replaced by a value drawn from `values(document, replaced value)`."""
+    name = data.draw(st.sampled_from(fixtures), label="fixture")
+    doc = copy.deepcopy(DOCS[name])
+    path = data.draw(st.sampled_from(list(fields(doc))), label="path")
+    parent = None
+    old = doc
+    for key in path:
+        parent, old = old, old[key]
+    value = data.draw(values(doc, old), label="value")
+    if parent is None:
+        return name, value
+    parent[path[-1]] = value
+    return name, doc
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_single_field_substitution_parses_or_raises_parse_error(data):
-    doc = copy.deepcopy(DOCS[data.draw(st.sampled_from(FIXTURES), label="fixture")])
-    path = data.draw(st.sampled_from(list(fields(doc))), label="path")
-    value = data.draw(json_values(names(doc)), label="value")
-    if path:
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-    else:
-        doc = value
+    _, doc = substituted(data)
     try:
         got = parse(json.dumps(doc))
     except ParseError:
         return
     assert isinstance(got, Negotiation)
+
+
+EXIT_CODES = {cli.EXIT_OK, cli.EXIT_FALSE, cli.EXIT_USAGE, cli.EXIT_UNDECIDED}
+# mod15 is left out of the file fuzz: learning it alone takes a third of a second
+LEARNABLE_FAST = [name for name in FIXTURES if name != "mod15"]
+
+
+def same_kind(doc, old):
+    """A name, or a list of names, of the same kind as the replaced value
+    when that is one, so that most changed documents still parse and reach
+    the commands behind the parser; else any small JSON value."""
+    for kind in (doc["processes"], list(doc["actions"]), list(doc["nodes"])):
+        if old in kind:
+            return st.sampled_from(kind)
+        if isinstance(old, list) and old and all(x in kind for x in old):
+            return st.lists(st.sampled_from(kind), min_size=1, max_size=len(kind))
+    return any_json(doc, old)
+
+
+def commands(path, other, out, actions):
+    """Every subcommand that reads a negotiation, on the file `path`;
+    `member` asks words over `actions`."""
+    return [
+        ["validate", path],
+        ["sound", path, "--patterns"],
+        ["equiv", path, other],
+        ["minimize", path, "-o", f"{out}/m.json"],
+        ["learn", path, "--mode", "exec", "-o", f"{out}/l.json"],
+        ["learn", path, "--mode", "paths", "-o", f"{out}/l.json"],
+        ["member", path, "--exec", " ".join(actions)],
+        ["member", path, "--path", " ".join(f"{a}@{ps[0]}" for a, ps in actions.items())],
+        ["dot", path, "-o", f"{out}/g.dot"],
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_cli_exit_codes_on_substituted_files(data):
+    name, doc = substituted(data, LEARNABLE_FAST, same_kind)
+    with tempfile.TemporaryDirectory() as tmp:
+        original, changed = pathlib.Path(tmp, "original.json"), pathlib.Path(tmp, "changed.json")
+        original.write_text(json.dumps(DOCS[name]), encoding="utf-8")
+        changed.write_text(json.dumps(doc), encoding="utf-8")
+        for args in commands(str(changed), str(original), tmp, DOCS[name]["actions"]):
+            assert cli.main(args) in EXIT_CODES, args
+
+
+@pytest.fixture(scope="module")
+def fixture_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fixtures")
+    for name in FIXTURES:
+        (root / f"{name}.json").write_text(json.dumps(DOCS[name]), encoding="utf-8")
+    return root
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=st.sampled_from(FIXTURES), flag=st.sampled_from(["--exec", "--path"]), word=st.text())
+def test_cli_exit_codes_on_arbitrary_words(fixture_files, name, flag, word):
+    assert cli.main(["member", str(fixture_files / f"{name}.json"), flag, word]) in EXIT_CODES
 
 
 def test_deeply_nested_field_is_a_parse_error(tmp_path, capsys):

@@ -10,6 +10,7 @@ from negotiations.errors import (
 )
 from negotiations.model import (
     Configuration,
+    DistributedAlphabet,
     Negotiation,
     compute_I,
     configuration_graph,
@@ -21,12 +22,15 @@ from negotiations.model import (
     run_execution,
     run_local_path,
     step,
+    successor_function,
     validate,
 )
 from negotiations import traces
 
 import fixtures
 import oracles
+from test_acceptance import _make_corpus
+from test_successor_kernel import FIXTURES, invalid_rendezvous
 
 
 def drop(n, key):
@@ -232,6 +236,35 @@ class TestConfigurationGraph:
                         break
                     c = nxt
                 assert member_exec(n, w) == (ok and c == fin)
+
+
+class TestSuccessorFunction:
+    """A negotiation gets a kernel unless `delta` holds a complete move
+    (m, a) with dom(a) not a subset of dnode(m)."""
+
+    def test_valid_inputs_get_a_kernel(self):
+        for n in [getattr(fixtures, name)() for name in FIXTURES] + _make_corpus(count=60):
+            assert successor_function(n) is not None
+
+    def test_bad_move_gets_none(self):
+        assert successor_function(invalid_rendezvous()) is None
+
+    def test_action_fireable_at_two_nodes_gets_none(self):
+        alpha = DistributedAlphabet(("p", "q"), ("c", "x"), {"c": ("p", "q"), "x": ("p",)})
+        n = Negotiation(
+            alpha, ("I", "A", "B", "F"), {"I": ("p", "q"), "A": ("p",), "B": ("q",), "F": ("p", "q")},
+            {("I", "c", "p"): "A", ("I", "c", "q"): "B", ("A", "x", "p"): "A", ("B", "x", "p"): "A"},
+            "I", "F",
+        )
+        assert successor_function(n) is None
+
+    def test_expand_gives_enabled_nodes_and_moves(self):
+        n = fixtures.fork()
+        expand = successor_function(n)
+        assert expand(("n0", "n0")) == (["n0"], [("c", ("n1", "n2"))])
+        enabled, moves = expand(("n1", "n2"))
+        assert sorted(enabled) == ["n1", "n2"]
+        assert moves == [("x", ("n3", "n2")), ("y", ("n1", "n3"))]
 
 
 class TestComputeI:

@@ -22,6 +22,18 @@ class TestMembership:
         assert t.stats.membership_total == 2
         assert t.stats.membership_distinct == 1
 
+    def test_path_query_letter_containers(self):
+        """A word asked as a tuple of tuples, a list of lists or a tuple of
+        lists is one query."""
+        t = Teacher(fixtures.fork())
+        word = (("c", "p"), ("x", "p"), ("d", "p"))
+        answers = {t.member_path_query(word),
+                   t.member_path_query([list(l) for l in word]),
+                   t.member_path_query(tuple(list(l) for l in word))}
+        assert answers == {True}
+        assert t.stats.membership_distinct == 1
+        assert t.stats.membership_total == 3
+
     def test_exec_queries_dedupe_by_trace(self):
         t = Teacher(fixtures.fork())
         assert t.member_exec_query(("c", "x", "y", "d"))
