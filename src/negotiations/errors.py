@@ -72,6 +72,10 @@ class FinalHasOutgoing(NegotiationError):
     pass
 
 
+class ReplayFailed(NegotiationError):
+    """A counterexample fails its `member_exec` replay (only invalid inputs)."""
+
+
 class ParseError(NegotiationError):
     """Malformed input file; message carries the offending location."""
 

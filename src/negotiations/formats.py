@@ -25,7 +25,7 @@ def serialize(n: Negotiation) -> str:
             [m, a, p, n.delta[(m, a, p)]]
             for m in n.nodes
             for a in n.alphabet.actions
-            for p in n.alphabet.dom[a]
+            for p in n.alphabet.processes  # not dom(a): keep what `validate` rejects
             if (m, a, p) in n.delta
         ],
     }
@@ -100,27 +100,25 @@ def format_local_word(pi) -> str:
     return " ".join(f"{a}@{p}" for a, p in pi)
 
 
-def parse_local_word(text: str, alphabet: DistributedAlphabet | None = None):
+def parse_local_word(text: str, alphabet: DistributedAlphabet):
     letters = []
     for i, tok in enumerate(text.split()):
         if "@" not in tok:
             raise ParseError(f"letter {i} ({tok!r}) is not of the form action@process")
         a, _, p = tok.partition("@")
-        if alphabet is not None:
-            if a not in set(alphabet.actions):
-                raise ParseError(f"letter {i}: unknown action {a!r}")
-            if p not in alphabet.dom_set(a):
-                raise ParseError(f"letter {i}: {p!r} not in dom({a!r})")
+        if a not in alphabet.dom:
+            raise ParseError(f"letter {i}: unknown action {a!r}")
+        if p not in alphabet.dom_set(a):
+            raise ParseError(f"letter {i}: {p!r} not in dom({a!r})")
         letters.append((a, p))
     return tuple(letters)
 
 
-def parse_execution(text: str, alphabet: DistributedAlphabet | None = None):
+def parse_execution(text: str, alphabet: DistributedAlphabet):
     word = tuple(text.split())
-    if alphabet is not None:
-        for i, a in enumerate(word):
-            if a not in set(alphabet.actions):
-                raise ParseError(f"letter {i}: unknown action {a!r}")
+    for i, a in enumerate(word):
+        if a not in alphabet.dom:
+            raise ParseError(f"letter {i}: unknown action {a!r}")
     return word
 
 
@@ -143,7 +141,7 @@ def export_dot(n: Negotiation) -> str:
         lines.append(f"  {_dot_quote(m)} [label={_dot_quote(m + ' | ' + dom)}{shape}];")
     for m in n.nodes:
         for a in n.alphabet.actions:
-            for p in n.alphabet.dom[a]:
+            for p in n.alphabet.processes:
                 t = n.delta.get((m, a, p))
                 if t is not None:
                     lines.append(

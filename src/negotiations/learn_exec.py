@@ -12,6 +12,7 @@ loop are the shared core in `learner`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from . import soundness, traces
 from .errors import (
@@ -329,39 +330,29 @@ class ExecLearner(Learner):
             return None
         return self.path_binary_search(words, letters, t)
 
-    def _convert_f(self, hyp: Hypothesis, w):
-        prefix = tuple(w.access_path)
-        if prefix:
-            inst = self._try_split_path(hyp, prefix, prefix[-1][1])
-            if inst is not None:
-                return inst
-        for action_path in (
-            ((w.action, w.p1),) + tuple(w.path1),
-            ((w.action, w.p2),) + tuple(w.path2),
-        ):
-            for ell in range(1, len(action_path) + 1):
-                letters = prefix + action_path[:ell]
+    def _first_split(self, hyp: Hypothesis, paths, failure):
+        """The target instance of the first nonempty letter path in `paths`,
+        tried lazily in order, that splits at its last letter's process."""
+        for letters in paths:
+            if letters:
                 inst = self._try_split_path(hyp, letters, letters[-1][1])
                 if inst is not None:
                     return inst
-        raise NoRepairFound("fork witness produced no splittable prefix")
+        raise NoRepairFound(failure)
+
+    def _convert_f(self, hyp: Hypothesis, w):
+        """The access path, then each branch's prefixes after the fork."""
+        prefix = tuple(w.access_path)
+        branches = (((w.action, w.p1),) + tuple(w.path1), ((w.action, w.p2),) + tuple(w.path2))
+        paths = chain((prefix,), (prefix + b[:ell] for b in branches for ell in range(1, len(b) + 1)))
+        return self._first_split(hyp, paths, "fork witness produced no splittable prefix")
 
     def _convert_c(self, hyp: Hypothesis, w):
-        entry = tuple(w.entry_path)
-        cycle = tuple(w.cycle_path)
-        if entry:
-            inst = self._try_split_path(hyp, entry, entry[-1][1])
-            if inst is not None:
-                return inst
-        cap = 2 * (len(self.q) + len(self.supports))
-        k = 2
-        while k <= max(cap, 2):
-            letters = entry + cycle * k
-            inst = self._try_split_path(hyp, letters, letters[-1][1])
-            if inst is not None:
-                return inst
-            k *= 2
-        raise NoRepairFound("cycle witness stayed consistent past the iteration cap")
+        """The entry path, then it followed by the cycle 2, 4, 8, ... times."""
+        entry, cycle = tuple(w.entry_path), tuple(w.cycle_path)
+        cap = max(2 * (len(self.q) + len(self.supports)), 2)
+        paths = chain((entry,), (entry + cycle * 2**i for i in range(1, cap.bit_length())))
+        return self._first_split(hyp, paths, "cycle witness stayed consistent past the iteration cap")
 
     def _convert_b(self, hyp: Hypothesis, w):
         p = w.process

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
 
 from .errors import (
     AmbiguousConfiguration,
@@ -47,23 +48,26 @@ LocalWord = tuple  # tuple[LocalLetter, ...]
 
 DEFAULT_STATE_BUDGET = 10**6
 
+_set = object.__setattr__  # how the frozen classes normalise their fields
 
-@dataclass
+
+@dataclass(frozen=True)
 class DistributedAlphabet:
     """Actions typed with nonempty process domains.
 
     Iteration order over `processes` and `actions` is the declared order and
     is relied upon everywhere for reproducibility (normal forms, BFS
-    tie-breaking, serialization).
+    tie-breaking, serialization). Immutable: `dom` is a read-only copy.
     """
 
     processes: tuple
     actions: tuple
     dom: dict  # action -> tuple of processes, in declared process order
+    __hash__ = None  # `dom` is a mapping
 
     def __post_init__(self):
-        self.processes = tuple(self.processes)
-        self.actions = tuple(self.actions)
+        _set(self, "processes", tuple(self.processes))
+        _set(self, "actions", tuple(self.actions))
         if len(set(self.processes)) != len(self.processes):
             raise ValueError("duplicate process identifiers")
         if len(set(self.actions)) != len(self.actions):
@@ -83,11 +87,14 @@ class DistributedAlphabet:
             norm[a] = procs
         if set(self.dom) - set(self.actions):
             raise ValueError("dom mentions unknown actions")
-        self._domains = {}  # domain tuple -> (that tuple, its frozenset)
-        self.dom = {a: self.domain(ps)[0] for a, ps in norm.items()}
-        self._dom_sets = {a: self.domain(ps)[1] for a, ps in norm.items()}
-        self._action_index = {a: i for i, a in enumerate(self.actions)}
-        self._proc_index = {p: i for i, p in enumerate(self.processes)}
+        _set(self, "_domains", {})  # domain tuple -> (that tuple, its frozenset)
+        _set(self, "dom", MappingProxyType({a: self.domain(ps)[0] for a, ps in norm.items()}))
+        _set(self, "_dom_sets", {a: self.domain(ps)[1] for a, ps in norm.items()})
+        _set(self, "_action_index", {a: i for i, a in enumerate(self.actions)})
+        _set(self, "_proc_index", {p: i for i, p in enumerate(self.processes)})
+
+    def __reduce__(self):  # a mapping proxy does not pickle
+        return DistributedAlphabet, (self.processes, self.actions, dict(self.dom))
 
     def domain(self, procs: tuple) -> tuple:
         """(procs, frozenset(procs)) for a domain given in declared process
@@ -139,13 +146,14 @@ class Configuration:
         return cls(alphabet.processes, tuple(node for _ in alphabet.processes))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Negotiation:
     """A deterministic negotiation diagram.
 
     `delta` is the partial transition map on (node, action, process) triples.
     Construction only checks that identifiers resolve; the Def-style
     conditions live in `validate`, which reports violations as data.
+    Immutable: `dnode` and `delta` are read-only copies.
     """
 
     alphabet: DistributedAlphabet
@@ -154,9 +162,10 @@ class Negotiation:
     delta: dict  # (node, action, process) -> node
     init: str
     fin: str
+    __hash__ = None  # `dnode` and `delta` are mappings
 
     def __post_init__(self):
-        self.nodes = tuple(self.nodes)
+        _set(self, "nodes", tuple(self.nodes))
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node identifiers")
         node_set = set(self.nodes)
@@ -173,7 +182,7 @@ class Negotiation:
             if not set(self.dnode[n]) <= proc_set:
                 raise ValueError(f"dnode({n!r}) mentions unknown processes")
             norm[n] = self.alphabet.domain(ps)[0]
-        self.dnode = norm
+        _set(self, "dnode", MappingProxyType(norm))
         for (n, a, p), m in self.delta.items():
             if n not in node_set or m not in node_set:
                 raise ValueError(f"transition ({n},{a},{p}) -> {m} references unknown node")
@@ -181,12 +190,15 @@ class Negotiation:
                 raise ValueError(f"transition on unknown action {a!r}")
             if p not in proc_set:
                 raise ValueError(f"transition for unknown process {p!r}")
-        out = {n: [] for n in self.nodes}
-        for n in self.nodes:
-            for a in self.alphabet.actions:
-                if any((n, a, p) in self.delta for p in self.alphabet.dom[a]):
-                    out[n].append(a)
-        self._out = {n: tuple(acts) for n, acts in out.items()}
+        _set(self, "delta", MappingProxyType(dict(self.delta)))
+        dom = self.alphabet.dom
+        _set(self, "_out", {n: tuple(a for a in self.alphabet.actions
+                                     if any((n, a, p) in self.delta for p in dom[a]))
+                            for n in self.nodes})
+
+    def __reduce__(self):  # a mapping proxy does not pickle
+        return Negotiation, (self.alphabet, self.nodes, dict(self.dnode), dict(self.delta),
+                             self.init, self.fin)
 
     def dnode_set(self, n) -> frozenset:
         return self.alphabet.domain(self.dnode[n])[1]
@@ -307,31 +319,20 @@ def path_coverage_warnings(n: Negotiation) -> list:
 
 
 def enabled_nodes(n: Negotiation, c: Configuration) -> set:
-    """Nodes whose whole domain currently sits at them."""
+    """Nodes whose whole domain currently sits at them (so they occur in `c`)."""
     at = dict(zip(c.processes, c.nodes))
-    result = set()
-    for m in n.nodes:
-        if all(at[p] == m for p in n.dnode[m]):
-            result.add(m)
-    return result
+    return {m for m in set(c.nodes) if all(at[p] == m for p in n.dnode[m])}
 
 
 def enabled(n: Negotiation, c: Configuration) -> set:
     """(node, action) pairs fireable in `c`."""
-    result = set()
-    at = dict(zip(c.processes, c.nodes))
-    for m in n.nodes:
-        if all(at[p] == m for p in n.dnode[m]):
-            for a in n.out(m):
-                if all((m, a, p) in n.delta for p in n.alphabet.dom[a]):
-                    result.add((m, a))
-    return result
+    return {(m, a) for m in enabled_nodes(n, c) for a in n.out(m)
+            if all((m, a, p) in n.delta for p in n.alphabet.dom[a])}
 
 
 def enabled_actions(n: Negotiation, c: Configuration) -> list:
     """Actions fireable in `c`, in declared action order."""
-    pairs = enabled(n, c)
-    acts = {a for (_, a) in pairs}
+    acts = {a for _, a in enabled(n, c)}
     return [a for a in n.alphabet.actions if a in acts]
 
 
@@ -348,6 +349,10 @@ def step(n: Negotiation, c: Configuration, a) -> Configuration:
     for p in procs:
         if (m, a, p) not in n.delta:
             raise NotEnabled(a, p, f"has no {a!r}-transition from {m!r}")
+    if n.dnode[m] != procs:  # only in an invalid negotiation: `enabled` wants all of dnode(m)
+        for p in n.dnode[m]:
+            if p not in at and c.node_of(p) != m:
+                raise NotEnabled(a, p, f"is at {c.node_of(p)!r} while {a!r} fires at {m!r}")
     return c.replace({p: n.delta[(m, a, p)] for p in procs})
 
 

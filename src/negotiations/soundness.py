@@ -405,37 +405,37 @@ def find_any_pattern(n: Negotiation):
 
 
 # --------------------------------------------------------------------------
-# Witness replay (used by tests and `neg sound --patterns`)
+# Witness replay, a cross-check for the tests and the benchmark
 
 
 def walk_local(n: Negotiation, start, path):
-    """Node sequence of a labeled walk; raises on an invalid hop."""
+    """Node sequence of a labeled walk, or None at a hop with no transition."""
     seq = [start]
     for a, p in path:
         nxt = n.delta.get((seq[-1], a, p))
         if nxt is None:
-            raise AssertionError(f"invalid hop {a}@{p} from {seq[-1]!r}")
+            return None
         seq.append(nxt)
     return seq
 
 
 def verify_witness(n: Negotiation, w) -> bool:
-    """Replay a pattern witness against the negotiation it was found in."""
+    """Does a pattern witness hold in `n`? False for a path leaving `n`."""
     if isinstance(w, BWitness):
         if any(p != w.process for _, p in w.access_path):
             return False
         seq = walk_local(n, n.init, w.access_path)
-        if seq[-1] != w.blocked_node:
+        if seq is None or seq[-1] != w.blocked_node:
             return False
         edges = _edges(n, w.process)
         return n.fin not in bfs(w.blocked_node, lambda s: edges.get(s, ()))[0]
     if isinstance(w, CWitness):
         seq = walk_local(n, n.init, w.entry_path)
-        anchor = seq[-1]
-        if not w.cycle_path:
+        if seq is None or not w.cycle_path:
             return False
+        anchor = seq[-1]
         cyc = walk_local(n, anchor, w.cycle_path)
-        if cyc[-1] != anchor:
+        if cyc is None or cyc[-1] != anchor:
             return False
         procs = set()
         for a, _ in w.cycle_path:
@@ -443,7 +443,7 @@ def verify_witness(n: Negotiation, w) -> bool:
         return _undominated(n, cyc, procs)
     if isinstance(w, FWitness):
         seq = walk_local(n, n.init, w.access_path)
-        if seq[-1] != w.fork_node:
+        if seq is None or seq[-1] != w.fork_node:
             return False
         s1 = n.delta.get((w.fork_node, w.action, w.p1))
         s2 = n.delta.get((w.fork_node, w.action, w.p2))
@@ -453,7 +453,7 @@ def verify_witness(n: Negotiation, w) -> bool:
             return False
         seq1 = walk_local(n, s1, w.path1)
         seq2 = walk_local(n, s2, w.path2)
-        if set(seq1) & set(seq2):
+        if seq1 is None or seq2 is None or set(seq1) & set(seq2):
             return False
         n1, n2 = seq1[-1], seq2[-1]
         want = {w.p1, w.p2}

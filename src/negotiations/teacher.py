@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import automata, soundness, traces
-from .errors import AlphabetMismatch
+from .errors import AlphabetMismatch, ReplayFailed
 from .model import (
     DEFAULT_STATE_BUDGET,
     Negotiation,
@@ -118,9 +118,7 @@ class Teacher:
             in_hyp = member_exec(hypothesis, answer.word)
             expected = (True, False) if answer.sign == POSITIVE else (False, True)
             if (in_target, in_hyp) != expected:
-                raise AssertionError(
-                    f"equivalence counterexample {answer.word} fails replay"
-                )
+                raise ReplayFailed(f"equivalence counterexample {answer.word} fails replay")
         return answer
 
     def _product_search(self, hypothesis: Negotiation) -> EquivAnswer:

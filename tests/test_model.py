@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -16,6 +19,7 @@ from negotiations.model import (
     configuration_graph,
     empty_negotiation,
     enabled,
+    enabled_actions,
     member_exec,
     member_path,
     path_coverage_warnings,
@@ -26,11 +30,13 @@ from negotiations.model import (
     validate,
 )
 from negotiations import traces
+from negotiations.formats import serialize
 
 import fixtures
 import oracles
 from test_acceptance import _make_corpus
 from test_successor_kernel import FIXTURES, invalid_rendezvous
+from test_teacher import split_at_shared_node
 
 
 def drop(n, key):
@@ -113,6 +119,59 @@ class TestEnabledStep:
         n = fixtures.ping()
         with pytest.raises(NotEnabled):
             step(n, n.initial_configuration(), "b")
+
+    def test_step_wants_the_whole_node_domain(self):
+        """step fires only what enabled fires: b leaves m for q alone, but
+        m's domain also holds p, which has left."""
+        n = split_at_shared_node()
+        c = step(n, step(n, n.initial_configuration(), "c"), "a")
+        assert c.nodes == ("F", "m") and enabled(n, c) == set()
+        with pytest.raises(NotEnabled, match="process 'p' is at 'F' while 'b' fires at 'm'"):
+            step(n, c, "b")
+
+
+class TestImmutable:
+    def test_fields_and_mappings_are_read_only(self):
+        n = fixtures.fork()
+        for obj, field in ((n, "delta"), (n, "dnode"), (n, "init"), (n, "_out"),
+                           (n.alphabet, "dom"), (n.alphabet, "actions"), (n.alphabet, "_dom_sets")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field, getattr(obj, field))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del n.fin
+        with pytest.raises(TypeError):
+            n.delta[("n0", "d", "p")] = "nf"
+        with pytest.raises(TypeError):
+            del n.delta[("n0", "c", "p")]
+        with pytest.raises(TypeError):
+            n.dnode["n1"] = ("p", "q")
+        with pytest.raises(TypeError):
+            n.alphabet.dom["x"] = ("p", "q")
+        for obj in (n, n.alphabet):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(obj)
+        assert n == fixtures.fork()
+
+    def test_the_callers_dicts_stay_the_callers(self):
+        f = fixtures.fork()
+        dom, dnode, delta = dict(f.alphabet.dom), dict(f.dnode), dict(f.delta)
+        alpha = DistributedAlphabet(f.alphabet.processes, f.alphabet.actions, dom)
+        n = Negotiation(alpha, f.nodes, dnode, delta, f.init, f.fin)
+        for p in ("p", "q"):
+            delta[("n0", "d", p)] = "nf"
+        dnode["n1"] = ("p", "q")
+        dom["x"] = ("p", "q")
+        assert n == f and serialize(n) == serialize(f)
+        assert not member_exec(n, ("d",))
+        assert enabled_actions(n, n.initial_configuration()) == ["c"]
+        assert alpha.dom_set("x") == {"p"} and not alpha.dependent("x", "y")
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_pickle_and_deepcopy_round_trip(self, name):
+        n = getattr(fixtures, name)()
+        for twin in (pickle.loads(pickle.dumps(n)), copy.deepcopy(n)):
+            assert twin == n and serialize(twin) == serialize(n)
+            assert len(configuration_graph(twin)) == len(configuration_graph(n))
 
 
 class TestRunExecution:

@@ -5,6 +5,9 @@ import pytest
 from negotiations.errors import CycleBudgetExceeded
 from negotiations.model import Configuration, DistributedAlphabet, Negotiation, validate
 from negotiations.soundness import (
+    BWitness,
+    CWitness,
+    FWitness,
     find_any_pattern,
     find_pattern_B,
     find_pattern_C,
@@ -188,6 +191,14 @@ class TestPatternC:
         n = undominated_cycle_fixture()
         with pytest.raises(CycleBudgetExceeded):
             find_pattern_C(n, cycle_budget=1)
+
+
+class TestWitnessReplay:
+    def test_path_leaving_the_negotiation_is_false(self):
+        n = fixtures.fork_unsound()
+        assert verify_witness(n, CWitness((("c", "p"),), (("c", "p"),))) is False
+        assert verify_witness(n, BWitness("p", (("x", "p"),), "n3")) is False
+        assert verify_witness(n, FWitness("n0", "c", "p", "q", (("y", "p"),), (), ())) is False
 
 
 class TestPatternF:

@@ -1,11 +1,38 @@
+import random
+
 import pytest
 
-from negotiations.errors import AlphabetMismatch, UnknownAction
-from negotiations.model import Negotiation, empty_negotiation, member_exec
+from negotiations.errors import AlphabetMismatch, NegotiationError, UnknownAction
+from negotiations.generate import generate
+from negotiations.model import DistributedAlphabet, Negotiation, empty_negotiation, member_exec, validate
 from negotiations.teacher import NEGATIVE, POSITIVE, Teacher
 
 import fixtures
 import oracles
+from test_successor_kernel import LADDER, broken
+
+
+def split_at_shared_node():
+    """c moves p and q to m, which holds both; a leaves m for p alone and b
+    for q alone. validate rejects it (dom(a), dom(b) are not dnode(m)), and
+    after `c a` the node m no longer has all of its domain, so b is stuck."""
+    alpha = DistributedAlphabet(("p", "q"), ("c", "a", "b"), {"c": ("p", "q"), "a": ("p",), "b": ("q",)})
+    return Negotiation(
+        alpha, ("I", "m", "F"), {"I": ("p", "q"), "m": ("p", "q"), "F": ("p", "q")},
+        {("I", "c", "p"): "m", ("I", "c", "q"): "m", ("m", "a", "p"): "F", ("m", "b", "q"): "F"},
+        "I", "F",
+    )
+
+
+def split_fork():
+    """The valid fork over the alphabet of `split_at_shared_node`: c splits p
+    and q, then a and b run independently into F."""
+    alpha = split_at_shared_node().alphabet
+    return Negotiation(
+        alpha, ("I", "A", "B", "F"), {"I": ("p", "q"), "A": ("p",), "B": ("q",), "F": ("p", "q")},
+        {("I", "c", "p"): "A", ("I", "c", "q"): "B", ("A", "a", "p"): "F", ("B", "b", "q"): "F"},
+        "I", "F",
+    )
 
 
 class TestMembership:
@@ -144,3 +171,34 @@ class TestEquivalence:
         a1 = Teacher(fixtures.mod15()).equiv_query(fixtures.ping_over_mod15())
         a2 = Teacher(fixtures.mod15()).equiv_query(fixtures.ping_over_mod15())
         assert a1 == a2
+
+
+class TestInvalidTargets:
+    def test_replay_agrees_with_the_product(self):
+        t, h = split_at_shared_node(), split_fork()
+        assert validate(t) != [] and validate(h) == []
+        assert not member_exec(t, ("c", "a", "b")) and member_exec(h, ("c", "a", "b"))
+        ans = Teacher(t).equiv_query(h)
+        assert (ans.sign, ans.word) == (NEGATIVE, ("c", "a", "b"))
+        ans = Teacher(h).equiv_query(t)
+        assert (ans.sign, ans.word) == (POSITIVE, ("c", "a", "b"))
+
+    def test_equiv_query_raises_only_domain_errors(self):
+        """Invalid variants, as either side, answer or raise a NegotiationError."""
+        rng = random.Random(5)
+        bases = [getattr(fixtures, name)() for name in (
+            "ping", "fork", "fork_unsound", "fork_split", "loop2", "editorial", "forked_periods")]
+        bases += [generate(params) for params in LADDER]
+        answered = raised = 0
+        for n in bases:
+            for _ in range(60):
+                bad = broken(n, rng)
+                if validate(bad) == []:
+                    continue
+                for t, h in ((n, bad), (bad, n)):
+                    try:
+                        Teacher(t).equiv_query(h)
+                        answered += 1
+                    except NegotiationError:
+                        raised += 1
+        assert answered > 0 and raised > 0

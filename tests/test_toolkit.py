@@ -141,6 +141,15 @@ class TestDot:
         assert '"n0" -> "n1" [label="c@p"];' in text
         assert text.startswith("digraph")
 
+    def test_transition_outside_its_action_domain_is_kept(self):
+        """validate rejects x@q (q is not in dom(x)); the writers keep it."""
+        obj = json.loads(serialize(fixtures.fork()))
+        obj["transitions"].append(["n1", "x", "q", "n3"])
+        n = parse(json.dumps(obj))
+        assert any("q not in dom(x)" in v for v in validate(n))
+        assert parse(serialize(n)) == n
+        assert '"n1" -> "n3" [label="x@q"];' in export_dot(n)
+
 
 def run_cli(*args):
     proc = subprocess.run(
