@@ -139,13 +139,17 @@ def cmd_learn(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    params = GenParams(
-        process_count=args.procs,
-        target_node_count=args.nodes,
-        loop_probability=args.loop_prob,
-        fork_probability=args.fork_prob,
-        seed=args.seed,
-    )
+    try:
+        params = GenParams(
+            process_count=args.procs,
+            target_node_count=args.nodes,
+            loop_probability=args.loop_prob,
+            fork_probability=args.fork_prob,
+            seed=args.seed,
+        )
+    except ValueError as exc:  # a parameter out of range is a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     formats.save(generate(params), args.output)
     return EXIT_OK
 

@@ -73,7 +73,9 @@ class FinalHasOutgoing(NegotiationError):
 
 
 class ReplayFailed(NegotiationError):
-    """A counterexample fails its `member_exec` replay (only invalid inputs)."""
+    """A counterexample fails its `member_exec` replay. The product search
+    and `member_exec` share one semantics, on invalid input too, so this
+    is a bug wherever it is raised."""
 
 
 class ParseError(NegotiationError):

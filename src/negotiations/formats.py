@@ -32,6 +32,15 @@ def serialize(n: Negotiation) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+def _names(where: str, values) -> tuple:
+    """`values` as a tuple of identifiers, which are JSON strings: a `1`,
+    `null` or `true` could not be named in a word or written as DOT."""
+    for i, v in enumerate(values):
+        if not isinstance(v, str):
+            raise ParseError(f"{where}[{i}] must be a string")
+    return tuple(values)
+
+
 def parse(text: str) -> Negotiation:
     try:
         obj = json.loads(text)
@@ -49,12 +58,17 @@ def parse(text: str) -> Negotiation:
     # a string is iterable, so tuple("pq") would silently read as ("p", "q")
     if not isinstance(obj["processes"], list):
         raise ParseError("'processes' must be a list of process names")
+    _names("processes", obj["processes"])
     for key in ("actions", "nodes"):
         if not isinstance(obj[key], dict):
             raise ParseError(f"{key!r} must be an object mapping names to process lists")
         for name, ps in obj[key].items():
             if not isinstance(ps, list):
                 raise ParseError(f"{key}[{name!r}] must be a list of processes")
+            _names(f"{key}[{name!r}]", ps)
+    for key in ("init", "fin"):
+        if not isinstance(obj[key], str):
+            raise ParseError(f"{key!r} must be a node name")
     try:
         alphabet = DistributedAlphabet(
             processes=tuple(obj["processes"]),
@@ -65,7 +79,7 @@ def parse(text: str) -> Negotiation:
         for i, row in enumerate(obj["transitions"]):
             if not (isinstance(row, list) and len(row) == 4):
                 raise ParseError(f"transitions[{i}] must be [node, action, process, node]")
-            m, a, p, t = row
+            m, a, p, t = _names(f"transitions[{i}]", row)
             if (m, a, p) in delta:
                 raise ParseError(f"transitions[{i}] duplicates ({m},{a},{p})")
             delta[(m, a, p)] = t

@@ -14,10 +14,9 @@ tuples. Building it reads `delta` once, in O(|delta|). Expanding a
 configuration then costs O(d*k + s*|P|) for its d distinct occupied nodes,
 domains of at most k processes and s successors: no scan of all nodes, no
 `Configuration` built per step, and tuple hashes instead of dataclass hashes
-in the visited sets. The choice is made once per negotiation, when the
-kernel is built: a negotiation holding a move that only an invalid one has
-gets no kernel, and its searches expand every configuration by
-`enabled_actions` and `step`, so it raises exactly where they raise.
+in the visited sets. There is one semantics for every negotiation, valid or
+not: (m, a) is enabled exactly when `step` fires a from m, and the kernel
+fires exactly those moves, so the searches never raise NotEnabled.
 
 Graph searches use `reach` for reachability sets and `bfs` (with `path`
 reading a label path out of its parent map) where discovery order, shortest
@@ -325,9 +324,11 @@ def enabled_nodes(n: Negotiation, c: Configuration) -> set:
 
 
 def enabled(n: Negotiation, c: Configuration) -> set:
-    """(node, action) pairs fireable in `c`."""
+    """(node, action) pairs fireable in `c`, exactly where `step` fires:
+    all of dnode(m) and dom(a) sit at m, each with an a-transition there."""
+    at = dict(zip(c.processes, c.nodes))
     return {(m, a) for m in enabled_nodes(n, c) for a in n.out(m)
-            if all((m, a, p) in n.delta for p in n.alphabet.dom[a])}
+            if all(at[p] == m and (m, a, p) in n.delta for p in n.alphabet.dom[a])}
 
 
 def enabled_actions(n: Negotiation, c: Configuration) -> list:
@@ -399,7 +400,7 @@ def member_path(n: Negotiation, pi) -> bool:
 
 
 def successor_function(n: Negotiation):
-    """The successor kernel of `n` over node tuples, or None.
+    """The successor kernel of `n` over node tuples.
 
     Returns `expand(nodes) -> (enabled nodes, moves)` for the configuration
     whose node tuple (declared process order) is `nodes`: the nodes whose
@@ -410,17 +411,16 @@ def successor_function(n: Negotiation):
     holds none of its processes. `delta` is read once, here; nothing is
     cached on `n`.
 
-    Returns None when `delta` holds a complete move (m, a) with dom(a) not
-    a subset of dnode(m), which only an invalid negotiation has: the
-    searches over `n` then run on the reference semantics at every
-    configuration, so such a move fires, or raises, exactly where `step`
-    does.
+    A complete move (m, a) with dom(a) not a subset of dnode(m) (only an
+    invalid negotiation has one) is guarded: it fires when all of dom(a)
+    sits at m too, as in `enabled`.
     """
     procs = n.alphabet.processes
     pos = {p: i for i, p in enumerate(procs)}
-    # node -> (get, want, [(action index, action, targets)]), where
+    # node -> (get, want, [(action index, action, targets, node)]), where
     # get(nodes) == want exactly when the node is enabled
     table = {}
+    guarded = False
     for m in n.nodes:
         idx = [pos[p] for p in n.dnode[m]]
         moves = []
@@ -428,10 +428,9 @@ def successor_function(n: Negotiation):
             dom = n.alphabet.dom[a]
             if not all((m, a, p) in n.delta for p in dom):
                 continue
-            if not n.alphabet.dom_set(a) <= n.dnode_set(m):
-                return None
+            guarded = guarded or not n.alphabet.dom_set(a) <= n.dnode_set(m)
             targets = tuple((pos[p], n.delta[(m, a, p)]) for p in dom)
-            moves.append((n.alphabet.action_index(a), a, targets))
+            moves.append((n.alphabet.action_index(a), a, targets, m))
         table[m] = (itemgetter(*idx), m if len(idx) == 1 else (m,) * len(idx), moves)
 
     def expand(nodes: tuple):
@@ -442,10 +441,12 @@ def successor_function(n: Negotiation):
             if get(nodes) == want:
                 enabled.append(m)
                 fireable += moves
+        if guarded:  # a guarded move fires only if all of dom(a) sits at m
+            fireable = [mv for mv in fireable if all(nodes[i] == mv[3] for i, _ in mv[2])]
         if len(enabled) > 1:  # concurrent nodes: merge their moves into action order
             fireable.sort(key=itemgetter(0))
         out = []
-        for _, a, targets in fireable:
+        for _, a, targets, _ in fireable:
             nxt = list(nodes)
             for i, t in targets:
                 nxt[i] = t
@@ -455,41 +456,13 @@ def successor_function(n: Negotiation):
     return expand
 
 
-def _stepwise_moves(n: Negotiation, nodes: tuple, reverse: bool = False):
-    """The moves of `nodes` by `enabled_actions` and `step`, fired one at a
-    time: the searches' expansion when `n` has no kernel. A bad move fires,
-    or raises, where the reference semantics does (after the moves before
-    it, and their budget checks)."""
-    c = Configuration(n.alphabet.processes, nodes)
-    acts = enabled_actions(n, c)
-    for a in reversed(acts) if reverse else acts:
-        yield a, step(n, c, a).nodes
-
-
-def _stepwise_product_moves(t: Negotiation, h: Negotiation, c1, c2):
-    """The product moves of (c1, c2) by `enabled_actions` and `step`, fired
-    one action at a time, target side first; None is the dead side."""
-    s1 = Configuration(t.alphabet.processes, c1) if c1 is not None else None
-    s2 = Configuration(h.alphabet.processes, c2) if c2 is not None else None
-    acts1 = set(enabled_actions(t, s1)) if s1 is not None else set()
-    acts2 = set(enabled_actions(h, s2)) if s2 is not None else set()
-    for a in t.alphabet.actions:
-        if a in acts1 or a in acts2:
-            n1 = step(t, s1, a).nodes if a in acts1 else None
-            n2 = step(h, s2, a).nodes if a in acts2 else None
-            yield a, (n1, n2)
-
-
 def product_moves(t: Negotiation, h: Negotiation):
     """`moves(pair)` for a `bfs` over the synchronized product of `t` and
     `h` (same alphabet), on pairs of node tuples: each action enabled on
     either side, in declared action order, with the pair it leads to; a
     side where the action is not enabled goes to the dead sink, None, and
-    stays there. Runs on both kernels when both sides have one, else on the
-    reference semantics for every pair (see `successor_function`)."""
+    stays there."""
     expand_t, expand_h = successor_function(t), successor_function(h)
-    if expand_t is None or expand_h is None:
-        return lambda pair: _stepwise_product_moves(t, h, *pair)
     rank = t.alphabet.action_index
 
     def moves(pair):
@@ -546,9 +519,8 @@ def configuration_graph(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> C
     # not `bfs`: edges go to seen successors too, by index; keeping the
     # moves to rebuild them would hold one node tuple per edge
     for c in order:  # BFS: `order` grows while it is walked
-        moves = expand(c)[1] if expand is not None else _stepwise_moves(n, c)
         outs = []
-        for a, c2 in moves:
+        for a, c2 in expand(c)[1]:
             j = index.get(c2)
             if j is None:
                 j = index[c2] = len(order)
@@ -575,13 +547,9 @@ def compute_I(n: Negotiation, node, budget: int = DEFAULT_STATE_BUDGET, reverse_
 
     def moves(c):
         nonlocal found
-        if expand is None:
-            enabled = list(enabled_nodes(n, Configuration(procs, c)))
-            out = _stepwise_moves(n, c, reverse_ties)
-        else:
-            enabled, out = expand(c)
-            if reverse_ties:
-                out.reverse()
+        enabled, out = expand(c)
+        if reverse_ties:
+            out.reverse()
         if enabled == [node]:  # tested on expansion, before any of c's moves
             if found is not None:
                 raise AmbiguousConfiguration(

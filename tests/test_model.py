@@ -298,24 +298,33 @@ class TestConfigurationGraph:
 
 
 class TestSuccessorFunction:
-    """A negotiation gets a kernel unless `delta` holds a complete move
-    (m, a) with dom(a) not a subset of dnode(m)."""
+    """Every negotiation gets a kernel; a complete move (m, a) with dom(a)
+    not a subset of dnode(m) is guarded."""
 
     def test_valid_inputs_get_a_kernel(self):
         for n in [getattr(fixtures, name)() for name in FIXTURES] + _make_corpus(count=60):
             assert successor_function(n) is not None
 
-    def test_bad_move_gets_none(self):
-        assert successor_function(invalid_rendezvous()) is None
+    def test_bad_move_is_guarded(self):
+        """a leaves m for p and q, but dnode(m) holds only p: a fires only
+        once q has joined p at m."""
+        expand = successor_function(invalid_rendezvous())
+        assert expand(("m", "I")) == (["m"], [])
+        assert expand(("m", "m")) == (["m"], [("a", ("F", "F"))])
 
-    def test_action_fireable_at_two_nodes_gets_none(self):
+    def test_action_fireable_at_two_nodes_is_guarded(self):
+        """x is complete at A (dom(x) = dnode(A)) and, invalidly, at B,
+        which holds only q: it fires from B only when p sits at B too."""
         alpha = DistributedAlphabet(("p", "q"), ("c", "x"), {"c": ("p", "q"), "x": ("p",)})
         n = Negotiation(
             alpha, ("I", "A", "B", "F"), {"I": ("p", "q"), "A": ("p",), "B": ("q",), "F": ("p", "q")},
             {("I", "c", "p"): "A", ("I", "c", "q"): "B", ("A", "x", "p"): "A", ("B", "x", "p"): "A"},
             "I", "F",
         )
-        assert successor_function(n) is None
+        expand = successor_function(n)
+        assert expand(("A", "B"))[1] == [("x", ("A", "B"))]
+        assert expand(("B", "B")) == (["B"], [("x", ("A", "B"))])
+        assert expand(("I", "B")) == (["B"], [])
 
     def test_expand_gives_enabled_nodes_and_moves(self):
         n = fixtures.fork()

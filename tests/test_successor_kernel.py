@@ -10,6 +10,8 @@ inputs and on invalid ones.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negotiations import cli
 from negotiations.errors import NegotiationError, NotEnabled
@@ -20,6 +22,11 @@ from negotiations.model import (
     Negotiation,
     compute_I,
     configuration_graph,
+    enabled_actions,
+    member_exec,
+    reach,
+    step,
+    successor_function,
     validate,
 )
 from negotiations.soundness import is_sound_semantic
@@ -146,28 +153,83 @@ def broken(n, rng):
     return Negotiation(n.alphabet, n.nodes, dnode, delta, n.init, n.fin)
 
 
-def test_searches_agree_on_invalid_inputs():
-    """Bad moves raise where `step` raises, after the moves before them and
-    their budget checks; an action fireable at two nodes fires once."""
+# the bases of the invalid-input sweeps: five fixtures and half of `LADDER`
+SWEEP_BASES = [getattr(fixtures, name)() for name in ("fork", "fork_split", "loop2", "editorial",
+                                                      "forked_periods")]
+SWEEP_BASES += [generate(params) for params in LADDER[:4]]
+
+
+def invalid_variants():
+    """(base, variant) for the seeded invalid `broken()` variants."""
     rng = random.Random(5)
-    bases = [getattr(fixtures, name)() for name in ("fork", "fork_split", "loop2", "editorial",
-                                                   "forked_periods")]
-    bases += [generate(params) for params in LADDER[:4]]
-    small = tuple(range(1, 10)) + (10**6,)
-    raised = 0
-    for n in bases:
+    for n in SWEEP_BASES:
         for _ in range(40):
             bad = broken(n, rng)
-            if validate(bad) == []:
-                continue
-            assert_agree(bad, budgets=small, node_budgets=(2, 5, 10**6))
-            assert_products_agree(n, bad, budgets=small)
-            assert_products_agree(bad, n, budgets=(3, 10**6))
-            try:
-                configuration_graph(bad)
-            except NotEnabled:
-                raised += 1
-    assert raised > 0
+            if validate(bad) != []:
+                yield n, bad
+
+
+def has_guarded_move(n):
+    """Does `n` hold a complete move (m, a) with dom(a) not a subset of
+    dnode(m)? The kernel guards such a move."""
+    return any(all((m, a, q) in n.delta for q in n.alphabet.dom[a])
+               and not n.alphabet.dom_set(a) <= n.dnode_set(m) for m, a, _ in n.delta)
+
+
+def fired(n, c):
+    """(action, configuration) for each action `step` fires in `c`."""
+    out = []
+    for a in n.alphabet.actions:
+        try:
+            out.append((a, step(n, c, a)))
+        except NotEnabled:
+            pass
+    return out
+
+
+def test_searches_agree_on_invalid_inputs():
+    """Guarded moves fire where `step` fires them, after the moves before
+    them and their budget checks; an action fireable at two nodes fires
+    once. No search raises NotEnabled."""
+    small = tuple(range(1, 10)) + (10**6,)
+    guarded = 0
+    for n, bad in invalid_variants():
+        assert_agree(bad, budgets=small, node_budgets=(2, 5, 10**6))
+        assert_products_agree(n, bad, budgets=small)
+        assert_products_agree(bad, n, budgets=(3, 10**6))
+        guarded += has_guarded_move(bad)
+    assert guarded > 0
+
+
+def test_enabled_actions_are_what_step_fires():
+    """At every configuration `step` reaches in an invalid variant,
+    `enabled_actions` lists exactly the actions `step` fires, and the
+    kernel fires them to the same configurations."""
+    for _, bad in invalid_variants():
+        expand = successor_function(bad)
+        for c in reach(lambda c: [c2 for _, c2 in fired(bad, c)], [bad.initial_configuration()]):
+            moves = fired(bad, c)
+            assert enabled_actions(bad, c) == [a for a, _ in moves]
+            assert expand(c.nodes)[1] == [(a, c2.nodes) for a, c2 in moves]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(base=st.sampled_from(SWEEP_BASES), seed=st.integers(0, 10**6))
+def test_graph_accepts_what_member_exec_accepts(base, seed):
+    """A word of length at most 3 leads from the initial to the final
+    configuration along `configuration_graph` iff `member_exec` accepts it,
+    on `broken()` variants (mostly invalid ones)."""
+    n = broken(base, random.Random(seed))
+    g = configuration_graph(n)
+    succ = [dict(outs) for outs in g.succ]
+    fin = n.final_configuration().nodes
+    for w in oracles.all_words(n.alphabet.actions, 3):
+        i = 0
+        for a in w:
+            i = succ[i].get(a)
+            if i is None:
+                break
+        assert (i is not None and g.order[i] == fin) == member_exec(n, w)
 
 
 def test_action_fireable_at_two_nodes_fires_once():
@@ -225,32 +287,38 @@ BAD_MOVE = "action 'a' not enabled: process 'q' is at 'I' while 'p' is at 'm'"
 
 
 class TestInvalidInput:
+    """The guarded move a fires only once q has joined p at m, which never
+    happens: the searches answer, by the semantics `member_exec` uses."""
+
     def test_validate_rejects(self):
         assert validate(invalid_rendezvous()) != []
 
-    def test_is_sound_semantic_raises(self):
-        with pytest.raises(NotEnabled, match=BAD_MOVE):
-            is_sound_semantic(invalid_rendezvous())
+    def test_is_sound_semantic_finds_the_stuck_configuration(self):
+        result = is_sound_semantic(invalid_rendezvous())
+        assert not result.sound and result.counterexample.nodes == ("m", "I")
 
-    def test_configuration_graph_raises(self):
+    def test_configuration_graph_stops_at_the_guarded_move(self):
+        n = invalid_rendezvous()
+        g = configuration_graph(n)
+        assert g.order == (("I", "I"), ("m", "I")) and g.succ == ((("b", 1),), ())
         with pytest.raises(NotEnabled, match=BAD_MOVE):
-            configuration_graph(invalid_rendezvous())
+            step(n, g.vertices[1], "a")
 
-    def test_equiv_query_raises(self):
+    def test_equiv_query_answers(self):
         sound = over_z(("I", "F"))
         unsound = over_z(("I", "X"))  # X has no move: a deadlock
         assert not is_sound_semantic(unsound).sound
-        with pytest.raises(NotEnabled, match=BAD_MOVE):
-            Teacher(invalid_rendezvous()).equiv_query(sound)
-        with pytest.raises(NotEnabled, match=BAD_MOVE):
-            Teacher(sound).equiv_query(invalid_rendezvous())
-        # an unsound target sends the query straight to the product search
-        with pytest.raises(NotEnabled, match=BAD_MOVE):
-            Teacher(unsound).equiv_query(invalid_rendezvous())
+        ans = Teacher(invalid_rendezvous()).equiv_query(sound)
+        assert (ans.sign, ans.word) == ("negative", ("z",))
+        ans = Teacher(sound).equiv_query(invalid_rendezvous())
+        assert (ans.sign, ans.word) == ("positive", ("z",))
+        # an unsound target sends the query straight to the product search;
+        # both languages are empty
+        assert Teacher(unsound).equiv_query(invalid_rendezvous()).equivalent
 
-    def test_cli_sound_reports_error(self, tmp_path, capsys):
+    def test_cli_sound_reports_the_stuck_configuration(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(serialize(invalid_rendezvous()), encoding="utf-8")
         assert cli.main(["sound", str(path)]) == cli.EXIT_FALSE
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and BAD_MOVE in err
+        out, err = capsys.readouterr()
+        assert out == '{"configuration":{"p":"m","q":"I"}}\n' and err == ""

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import subprocess
 import sys
 
@@ -116,6 +118,32 @@ class TestJson:
         path.write_text(self._string_process_list("processes"), encoding="utf-8")
         assert cli.main(["sound", str(path)]) == cli.EXIT_USAGE == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("name", [1, None, True])
+    def test_non_string_process_rejected(self, name, tmp_path, capsys):
+        """The fork with p renamed to 1, null or true: `neg dot` would die
+        on the name, and no `a@p` word could spell it."""
+        text = serialize(fixtures.fork()).replace('"p"', json.dumps(name))
+        with pytest.raises(ParseError, match=r"processes\[0\] must be a string"):
+            parse(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["dot", str(path)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("where,message", [
+        (("processes", 1), r"processes\[1\] must be a string"),
+        (("actions", "c", 1), r"actions\['c'\]\[1\] must be a string"),
+        (("nodes", "n1", 0), r"nodes\['n1'\]\[0\] must be a string"),
+        (("init",), "'init' must be a node name"),
+        (("fin",), "'fin' must be a node name"),
+    ] + [(("transitions", 2, i), rf"transitions\[2\]\[{i}\] must be a string") for i in range(4)])
+    def test_non_string_identifier_rejected(self, where, message):
+        obj = json.loads(serialize(fixtures.fork()))
+        *parents, last = where
+        functools.reduce(operator.getitem, parents, obj)[last] = 1
+        with pytest.raises(ParseError, match=message):
+            parse(json.dumps(obj))
 
     def test_local_words(self):
         alpha = fixtures.fork().alphabet
@@ -274,6 +302,14 @@ class TestCli:
         code, _, _ = run_cli("dot", str(gen_path), "-o", str(dot_path))
         assert code == 0
         assert dot_path.read_text(encoding="utf-8").startswith("digraph")
+
+    @pytest.mark.parametrize("flags", [["--procs", "0"], ["--procs", "2", "--loop-prob", "1.5"],
+                                       ["--procs", "2", "--fork-prob", "nan"]])
+    def test_gen_rejects_out_of_range_parameters(self, flags, tmp_path, capsys):
+        out = tmp_path / "gen.json"
+        code = cli.main(["gen", *flags, "--nodes", "5", "--seed", "1", "-o", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:") and not out.exists()
 
     def test_io_error(self):
         code, _, err = run_cli("validate", "/nonexistent/x.json")
