@@ -44,10 +44,6 @@ class StateBudgetExceeded(BudgetExceeded):
     pass
 
 
-class CycleBudgetExceeded(BudgetExceeded):
-    pass
-
-
 class NotCoprime(NegotiationError):
     """Trace has zero or several minimal events."""
 

@@ -30,6 +30,8 @@ class GenParams:
     def __post_init__(self):
         if self.process_count < 1:
             raise ValueError("process_count must be at least 1")
+        if self.target_node_count < 1:
+            raise ValueError("target_node_count must be at least 1")
         if not 0.0 <= self.loop_probability <= 1.0:
             raise ValueError("loop_probability out of range")
         if not 0.0 <= self.fork_probability <= 1.0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, CycleBudgetExceeded
+from .errors import BudgetExceeded
 from .model import (
     DEFAULT_STATE_BUDGET,
     Configuration,
@@ -22,7 +22,6 @@ from .model import (
     reach,
 )
 
-DEFAULT_CYCLE_BUDGET = 10**5
 DEFAULT_PAIR_BUDGET = 10**6
 
 
@@ -84,10 +83,12 @@ class FWitness:
 
 @dataclass
 class CWitness:
-    """Reachable local cycle with no on-cycle node dominating the processes
-    occurring on it."""
+    """Reachable closed local walk with no node on it dominating the
+    processes occurring on it. `find_pattern_C` walks through every node of
+    an undominated strongly connected set, so the walk need not be a simple
+    cycle."""
 
-    entry_path: tuple  # local path from init to the cycle's anchor node
+    entry_path: tuple  # local path from init to the walk's anchor node
     cycle_path: tuple  # nonempty local path anchor -> anchor
 
     kind = "C"
@@ -157,62 +158,22 @@ def _label_path(edges, node_seq):
     return tuple(labels)
 
 
-def _undominated(n: Negotiation, node_seq, procs):
-    return not any(procs <= n.dnode_set(v) for v in node_seq[:-1])
-
-
 def _sccs(nodes, succ):
-    """Tarjan SCCs of the subgraph induced on `nodes`."""
-    nodes = [v for v in nodes]
-    node_set = set(nodes)
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    out = []
-    counter = [0]
-
-    def strong(v):
-        work = [(v, iter(succ.get(v, ())))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in node_set:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(comp)
-
+    """Strongly connected sets of the subgraph induced on `nodes`: a node's
+    set is what it reaches there and what reaches it there. Each set is
+    listed in `nodes` order, and the sets by their first node."""
+    inside = set(nodes)
+    fwd = {v: [t for t in succ.get(v, ()) if t in inside] for v in nodes}
+    rev = {v: [] for v in nodes}
     for v in nodes:
-        if v not in index:
-            strong(v)
+        for t in fwd[v]:
+            rev[t].append(v)
+    out, done = [], set()
+    for v in nodes:
+        if v not in done:
+            comp = reach(fwd.__getitem__, [v]) & reach(rev.__getitem__, [v])
+            done |= comp
+            out.append([u for u in nodes if u in comp])
     return out
 
 
@@ -260,36 +221,12 @@ def _closed_walk(n: Negotiation, comp, edges):
     return walk
 
 
-def _simple_cycles(succ, nodes, budget):
-    """Vertex-simple cycles, canonically anchored at their least node in
-    `nodes` order. Yields node sequences v0..vk=v0; counts against budget."""
-    rank = {v: i for i, v in enumerate(nodes)}
-    spent = 0
-    for anchor in nodes:
-        stack = [(anchor, [anchor])]
-        while stack:
-            v, path = stack.pop()
-            for t in succ.get(v, ()):
-                if rank.get(t) is None or rank[t] < rank[anchor]:
-                    continue
-                spent += 1
-                if spent > budget:
-                    raise CycleBudgetExceeded(
-                        f"simple-cycle enumeration exceeded {budget} steps"
-                    )
-                if t == anchor:
-                    yield path + [anchor]
-                elif t not in path:
-                    stack.append((t, path + [t]))
+def find_pattern_C(n: Negotiation):
+    """Reachable local cycle whose process union no node on it dominates.
 
-
-def find_pattern_C(n: Negotiation, cycle_budget: int = DEFAULT_CYCLE_BUDGET):
-    """Reachable local cycle whose process union no on-cycle node dominates.
-
-    An exact SCC-based decision runs first; only when a bad cycle is known to
-    exist does the capped simple-cycle enumeration run to produce the
-    preferred (simple) witness. A compound-only bad cycle falls back to a
-    closed walk over the offending strongly connected set.
+    `_bad_scc` decides exactly and in polynomial time; the witness is a
+    closed walk through every node of the undominated strongly connected
+    set it returns. No budget applies.
     """
     edges = _edges(n)
     succ = {s: [t for _, t in outs] for s, outs in edges.items()}
@@ -297,13 +234,6 @@ def find_pattern_C(n: Negotiation, cycle_budget: int = DEFAULT_CYCLE_BUDGET):
     comp = _bad_scc(n, fwd, succ)
     if comp is None:
         return None
-    for cyc in _simple_cycles(succ, fwd, cycle_budget):
-        labels = _label_path(edges, cyc)
-        procs = set()
-        for a, _ in labels:
-            procs |= n.alphabet.dom_set(a)
-        if _undominated(n, cyc, procs):
-            return CWitness(path(fwd, cyc[0]), labels)
     walk = _closed_walk(n, comp, edges)
     return CWitness(path(fwd, walk[0]), _label_path(edges, walk))
 
@@ -440,7 +370,7 @@ def verify_witness(n: Negotiation, w) -> bool:
         procs = set()
         for a, _ in w.cycle_path:
             procs |= n.alphabet.dom_set(a)
-        return _undominated(n, cyc, procs)
+        return not any(procs <= n.dnode_set(v) for v in cyc[:-1])
     if isinstance(w, FWitness):
         seq = walk_local(n, n.init, w.access_path)
         if seq is None or seq[-1] != w.fork_node:

@@ -8,7 +8,7 @@ shortest first with lexicographic tie-breaking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import automata, soundness, traces
 from .errors import AlphabetMismatch, ReplayFailed
@@ -34,12 +34,7 @@ class QueryStats:
     max_counterexample_len: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "membership_total": self.membership_total,
-            "membership_distinct": self.membership_distinct,
-            "equivalence_total": self.equivalence_total,
-            "max_counterexample_len": self.max_counterexample_len,
-        }
+        return asdict(self)
 
 
 @dataclass

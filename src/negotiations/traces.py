@@ -118,19 +118,21 @@ def is_coprime(alpha: DistributedAlphabet, t) -> bool:
     return len(minimal_event_indices(alpha, t)) == 1
 
 
-def dmin(alpha: DistributedAlphabet, t) -> frozenset:
-    """Domain of the unique minimal action; errors on non-co-prime input."""
+def _min_index(alpha: DistributedAlphabet, t) -> int:
+    """Index of the unique minimal event; errors on non-co-prime input."""
     mins = minimal_event_indices(alpha, t)
     if len(mins) != 1:
         raise NotCoprime(f"trace {t!r} has {len(mins)} minimal events")
-    return alpha.dom_set(t[mins[0]])
+    return mins[0]
+
+
+def dmin(alpha: DistributedAlphabet, t) -> frozenset:
+    """Domain of the unique minimal action; errors on non-co-prime input."""
+    return alpha.dom_set(t[_min_index(alpha, t)])
 
 
 def min_action(alpha: DistributedAlphabet, t) -> str:
-    mins = minimal_event_indices(alpha, t)
-    if len(mins) != 1:
-        raise NotCoprime(f"trace {t!r} has {len(mins)} minimal events")
-    return t[mins[0]]
+    return t[_min_index(alpha, t)]
 
 
 def is_step(alpha: DistributedAlphabet, s, b, p) -> bool:
@@ -195,10 +197,7 @@ def step_decomposition(alpha: DistributedAlphabet, r, p) -> StepDecomposition:
     choice satisfying the decomposition conditions); empty when p occurs
     only in the head.
     """
-    mins = minimal_event_indices(alpha, r)
-    if len(mins) != 1:
-        raise NotCoprime(f"trace {r!r} has {len(mins)} minimal events")
-    head_idx = mins[0]
+    head_idx = _min_index(alpha, r)
     head = r[head_idx]
     if p not in alpha.dom_set(head):
         raise ProcessNotInDmin(f"{p!r} not in dmin({r!r})")

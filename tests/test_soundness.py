@@ -1,8 +1,7 @@
 import random
 
-import pytest
-
-from negotiations.errors import CycleBudgetExceeded
+from negotiations import cli
+from negotiations.formats import serialize
 from negotiations.model import Configuration, DistributedAlphabet, Negotiation, validate
 from negotiations.soundness import (
     BWitness,
@@ -75,6 +74,72 @@ def undominated_cycle_fixture():
             ("A", "e", "q"): "nf",
             ("B", "f", "p"): "nf",
             ("B", "f", "r"): "nf",
+        },
+        init="n0",
+        fin="nf",
+    )
+
+
+def clique_beside_shuttle():
+    """`undominated_cycle_fixture` with A in a 6-node clique of {p,q}
+    nodes. Every cycle inside the clique is dominated, but the clique
+    holds so many simple cycles that enumerating them is hopeless."""
+    n = undominated_cycle_fixture()
+    clique = ("A", "K2", "K3", "K4", "K5", "K6")
+    moves = {f"{x}{y}": (x, y) for x in clique for y in clique if x != y}
+    alpha = DistributedAlphabet(
+        processes=n.alphabet.processes,
+        actions=n.alphabet.actions + tuple(moves),
+        dom={**n.alphabet.dom, **{a: ("p", "q") for a in moves}},
+    )
+    delta = dict(n.delta)
+    for a, (x, y) in moves.items():
+        delta[(x, a, "p")] = delta[(x, a, "q")] = y
+    return Negotiation(
+        alphabet=alpha,
+        nodes=("n0",) + clique + ("B", "nf"),
+        dnode={**n.dnode, **{v: ("p", "q") for v in clique}},
+        delta=delta,
+        init=n.init,
+        fin=n.fin,
+    )
+
+
+def compound_cycle_fixture():
+    """p leaves s {p} for v1 {p,q} or v2 {p,r} and comes back. Each simple
+    cycle is dominated by its rendezvous node, but the strongly connected
+    set {s, v1, v2} touches p, q and r and no node of it dominates."""
+    alpha = DistributedAlphabet(
+        processes=("p", "q", "r"),
+        actions=("go", "a1", "a2", "b1", "b2", "e", "f"),
+        dom={
+            "go": ("p", "q", "r"),
+            "a1": ("p",),
+            "a2": ("p",),
+            "b1": ("p", "q"),
+            "b2": ("p", "r"),
+            "e": ("p", "q"),
+            "f": ("p", "r"),
+        },
+    )
+    return Negotiation(
+        alphabet=alpha,
+        nodes=("n0", "s", "v1", "v2", "nf"),
+        dnode={"n0": ("p", "q", "r"), "s": ("p",), "v1": ("p", "q"), "v2": ("p", "r"), "nf": ("p", "q", "r")},
+        delta={
+            ("n0", "go", "p"): "s",
+            ("n0", "go", "q"): "v1",
+            ("n0", "go", "r"): "v2",
+            ("s", "a1", "p"): "v1",
+            ("s", "a2", "p"): "v2",
+            ("v1", "b1", "p"): "s",
+            ("v1", "b1", "q"): "v1",
+            ("v2", "b2", "p"): "s",
+            ("v2", "b2", "r"): "v2",
+            ("v1", "e", "p"): "nf",
+            ("v1", "e", "q"): "nf",
+            ("v2", "f", "p"): "nf",
+            ("v2", "f", "r"): "nf",
         },
         init="n0",
         fin="nf",
@@ -184,13 +249,31 @@ class TestPatternC:
         assert not is_sound_semantic(n).sound
         assert find_pattern_B(n) is None
         w = find_pattern_C(n)
-        assert w is not None
+        assert w.to_json() == {"kind": "C", "entry_path": ["s@p"], "cycle_path": ["g@p", "h@p"]}
         assert verify_witness(n, w)
 
-    def test_budget(self):
-        n = undominated_cycle_fixture()
-        with pytest.raises(CycleBudgetExceeded):
-            find_pattern_C(n, cycle_budget=1)
+    def test_many_simple_cycles_still_decide(self, tmp_path, capsys):
+        n = clique_beside_shuttle()
+        assert validate(n) == []
+        w = find_pattern_C(n)
+        assert w is not None and verify_witness(n, w)
+        path = tmp_path / "clique.json"
+        path.write_text(serialize(n), encoding="utf-8")
+        assert cli.main(["sound", str(path), "--patterns"]) == cli.EXIT_FALSE
+        assert '"kind":"C"' in capsys.readouterr().out
+
+    def test_compound_only_cycle(self):
+        # no simple cycle is undominated, so the witness walks the whole set
+        n = compound_cycle_fixture()
+        assert validate(n) == []
+        assert find_pattern_B(n) is None
+        w = find_pattern_C(n)
+        assert w.to_json() == {
+            "kind": "C",
+            "entry_path": ["go@p"],
+            "cycle_path": ["a1@p", "b1@p", "a2@p", "b2@p"],
+        }
+        assert verify_witness(n, w)
 
 
 class TestWitnessReplay:

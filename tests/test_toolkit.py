@@ -303,11 +303,13 @@ class TestCli:
         assert code == 0
         assert dot_path.read_text(encoding="utf-8").startswith("digraph")
 
-    @pytest.mark.parametrize("flags", [["--procs", "0"], ["--procs", "2", "--loop-prob", "1.5"],
-                                       ["--procs", "2", "--fork-prob", "nan"]])
+    @pytest.mark.parametrize("flags", [["--procs", "0", "--nodes", "5"],
+                                       ["--procs", "2", "--nodes", "5", "--loop-prob", "1.5"],
+                                       ["--procs", "2", "--nodes", "5", "--fork-prob", "nan"],
+                                       ["--procs", "2", "--nodes", "0"]])
     def test_gen_rejects_out_of_range_parameters(self, flags, tmp_path, capsys):
         out = tmp_path / "gen.json"
-        code = cli.main(["gen", *flags, "--nodes", "5", "--seed", "1", "-o", str(out)])
+        code = cli.main(["gen", *flags, "--seed", "1", "-o", str(out)])
         assert code == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:") and not out.exists()
 
