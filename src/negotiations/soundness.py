@@ -1,17 +1,20 @@
 """Soundness of deterministic negotiations, decided two ways.
 
-The configuration-graph check is the authoritative decision procedure; the
-structural pattern search (F: diverging fork, C: undominated cycle, B: node
-with no local way back to fin) exists to localize repairs for the
-execution-only learner, and doubles as a cross-oracle in tests.
+The configuration-graph check explores every reachable configuration and
+names one that cannot reach fin. The structural pattern search (F:
+diverging fork, C: undominated cycle, B: node with no local way back to
+fin) is polynomial in the negotiation and never runs out of budget: on a
+valid negotiation it finds a witness exactly when the negotiation is
+unsound (Esparza, Kuperberg, Muscholl & Walukiewicz, "Soundness in
+negotiations"). The execution-only learner decides its hypotheses'
+soundness by the patterns alone and localizes its repairs from their
+witnesses; each check is the other's cross-oracle in the tests.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded
 from .model import (
     DEFAULT_STATE_BUDGET,
     Configuration,
@@ -21,8 +24,6 @@ from .model import (
     path,
     reach,
 )
-
-DEFAULT_PAIR_BUDGET = 10**6
 
 
 @dataclass
@@ -56,7 +57,8 @@ def is_sound_semantic(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> Sem
 @dataclass
 class FWitness:
     """Fork on `action` at `fork_node` from which p1 and p2 can reach, by
-    node-disjoint local paths, two distinct nodes both containing them."""
+    node-disjoint local paths, two distinct nodes both containing them.
+    Each path ends at the first node on it that holds both processes."""
 
     fork_node: str
     action: str
@@ -211,8 +213,10 @@ def _closed_walk(n: Negotiation, comp, edges):
         return [(t, t) for _, t in edges.get(s, ()) if t in comp_set]
 
     walk = [anchor]
-    for a, b in zip(ordered, ordered[1:] + [anchor]):
-        parent, hit = bfs(a, moves, stop=lambda t: t == b)
+    for b in ordered[1:] + [anchor]:
+        if b != anchor and b in walk:  # an earlier join passed it already
+            continue
+        parent, hit = bfs(walk[-1], moves, stop=lambda t: t == b)
         if hit is None:
             raise AssertionError("strongly connected set lost connectivity")
         walk.extend(path(parent, b))
@@ -238,34 +242,22 @@ def find_pattern_C(n: Negotiation):
     return CWitness(path(fwd, walk[0]), _label_path(edges, walk))
 
 
-def _simple_paths(edges, start, budget, forbidden=frozenset()):
-    """All vertex-simple label paths from `start` (including the empty one),
-    as (node_sequence, label_sequence) pairs, avoiding `forbidden` nodes."""
-    if start in forbidden:
-        return
-    spent = 0
-    stack = [([start], [])]
-    while stack:
-        nodes, labels = stack.pop()
-        yield nodes, labels
-        for letter, t in edges.get(nodes[-1], ()):
-            if t in forbidden or t in nodes:
-                continue
-            spent += 1
-            if spent > budget:
-                raise BudgetExceeded("disjoint-path search exceeded its budget")
-            stack.append((nodes + [t], labels + [letter]))
-
-
 def find_pattern_F(n: Negotiation):
     """Fork divergence: from some reachable node and action, two processes
     can reach two distinct nodes (both containing them) by node-disjoint
     local paths.
 
-    A synchronized pair-BFS (components kept distinct at every step) filters
-    candidates; witnesses are then reconstructed by exhaustive simple-path
-    search so the emitted paths genuinely share no node.
+    Decided per fork from first-hit reach sets, with no budget: on a valid
+    negotiation every node of a p-path holds p, so cutting two such paths
+    at their first node holding both processes keeps them disjoint, and two
+    first-hit paths with distinct ends never meet.
     """
+    return next(_diverging_forks(n), None)
+
+
+def _diverging_forks(n: Negotiation):
+    """A witness at every reachable fork where F holds: fork nodes in BFS
+    order, then actions, then process pairs in declared order."""
     all_edges = _edges(n)
     fwd, _ = bfs(n.init, lambda s: all_edges.get(s, ()))
     p_edges = {p: _edges(n, p) for p in n.alphabet.processes}
@@ -274,53 +266,37 @@ def find_pattern_F(n: Negotiation):
             dom = n.alphabet.dom[a]
             for i, p1 in enumerate(dom):
                 for p2 in dom[i + 1 :]:
-                    s1 = n.delta.get((m, a, p1))
-                    s2 = n.delta.get((m, a, p2))
-                    if s1 is None or s2 is None or s1 == s2:
-                        continue
-                    if not _pair_filter(n, s1, s2, p1, p2, p_edges, DEFAULT_PAIR_BUDGET):
-                        continue
-                    hit = _disjoint_pair(n, s1, s2, p1, p2, p_edges, DEFAULT_PAIR_BUDGET)
+                    hit = _fork_paths(n, m, a, p1, p2, p_edges)
                     if hit is not None:
-                        path1, path2 = hit
-                        return FWitness(m, a, p1, p2, path1, path2, path(fwd, m))
-    return None
+                        yield FWitness(m, a, p1, p2, *hit, path(fwd, m))
 
 
-def _pair_filter(n, s1, s2, p1, p2, p_edges, budget):
-    """Complete existence filter: explore pairs, never visiting x == y."""
-    # not `bfs`: the goal is tested on dequeue, not on discovery, and moving
-    # it would change which over-budget searches still decide
+def _fork_paths(n: Negotiation, m, a, p1, p2, p_edges):
+    """(p1-path, p2-path) from the fork's two successors to two distinct
+    nodes holding p1 and p2, each cut at its first such node, or None."""
+    s1 = n.delta.get((m, a, p1))
+    s2 = n.delta.get((m, a, p2))
+    if s1 is None or s2 is None or s1 == s2:
+        return None
     want = {p1, p2}
-    seen = {(s1, s2)}
-    queue = deque([(s1, s2)])
-    spent = 0
-    while queue:
-        x, y = queue.popleft()
-        if want <= n.dnode_set(x) and want <= n.dnode_set(y):
-            return True
-        nexts = [(t, y) for _, t in p_edges[p1].get(x, ()) if t != y]
-        nexts += [(x, t) for _, t in p_edges[p2].get(y, ()) if t != x]
-        for pair in nexts:
-            if pair not in seen:
-                spent += 1
-                if spent > budget:
-                    raise BudgetExceeded("fork pair search exceeded its budget")
-                seen.add(pair)
-                queue.append(pair)
-    return False
 
+    def first_hits(s, p):  # stop at nodes holding both; they are the hits
+        edges = p_edges[p]
+        parent, _ = bfs(s, lambda x: () if want <= n.dnode_set(x) else edges.get(x, ()))
+        return parent, [x for x in parent if want <= n.dnode_set(x)]
 
-def _disjoint_pair(n, s1, s2, p1, p2, p_edges, budget):
-    want = {p1, p2}
-    for nodes1, labels1 in _simple_paths(p_edges[p1], s1, budget):
-        if not want <= n.dnode_set(nodes1[-1]):
-            continue
-        taken = frozenset(nodes1)
-        for nodes2, labels2 in _simple_paths(p_edges[p2], s2, budget, forbidden=taken):
-            if want <= n.dnode_set(nodes2[-1]):
-                return tuple(labels1), tuple(labels2)
-    return None
+    parent1, r1 = first_hits(s1, p1)
+    parent2, r2 = first_hits(s2, p2)
+    if not r1 or not r2:
+        return None
+    n1 = r1[0]
+    n2 = next((x for x in r2 if x != n1), None)
+    if n2 is None:
+        n2 = r2[0]
+        n1 = next((x for x in r1 if x != n2), None)
+        if n1 is None:
+            return None
+    return path(parent1, n1), path(parent2, n2)
 
 
 def find_any_pattern(n: Negotiation):

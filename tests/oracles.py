@@ -299,6 +299,43 @@ def stepwise_product_search(t: Negotiation, h: Negotiation, budget: int = 10**6)
     return EquivAnswer(True)
 
 
+def simple_paths(edges, start, forbidden=frozenset()):
+    """All vertex-simple paths from `start` along `edges` (node -> list of
+    (letter, node)), the empty one included, as (node sequence, label
+    sequence) pairs, avoiding `forbidden` nodes."""
+    if start in forbidden:
+        return
+    stack = [([start], [])]
+    while stack:
+        nodes, labels = stack.pop()
+        yield nodes, labels
+        for letter, t in edges.get(nodes[-1], ()):
+            if t not in forbidden and t not in nodes:
+                stack.append((nodes + [t], labels + [letter]))
+
+
+def brute_fork_paths(n: Negotiation, m, a, p1, p2):
+    """Node-disjoint p1- and p2-paths, from the fork (m, a)'s successors for
+    p1 and p2, to nodes holding both processes, by exhaustive simple-path
+    search; (labels1, labels2) or None."""
+    s1 = n.delta.get((m, a, p1))
+    s2 = n.delta.get((m, a, p2))
+    if s1 is None or s2 is None or s1 == s2:
+        return None
+    edges = {p1: {}, p2: {}}
+    for (src, b, q), t in sorted(n.delta.items()):
+        if q in edges:
+            edges[q].setdefault(src, []).append(((b, q), t))
+    want = {p1, p2}
+    for nodes1, labels1 in simple_paths(edges[p1], s1):
+        if not want <= n.dnode_set(nodes1[-1]):
+            continue
+        for nodes2, labels2 in simple_paths(edges[p2], s2, forbidden=frozenset(nodes1)):
+            if want <= n.dnode_set(nodes2[-1]):
+                return tuple(labels1), tuple(labels2)
+    return None
+
+
 def homomorphism(n: Negotiation, m: Negotiation):
     """Node map n -> m sending each node to the state its access path reaches
     in m; returns None when the map fails to preserve labeled transitions

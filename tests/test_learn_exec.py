@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from negotiations import formats, learn_exec, traces
+from negotiations import formats, learn_exec, soundness, traces
 from negotiations.automata import minimize_negotiation, neg_equiv
 from negotiations.errors import InvariantViolation
 from negotiations.learn_exec import AbsentTransE, ExecLearner, TargetInstance
@@ -27,6 +27,37 @@ ALL_FIXTURES = [
 def neg_size(n):
     return len(n.nodes) + len(n.delta)
 
+
+def test_make_sound_decides_by_patterns_alone(monkeypatch):
+    """`make_sound` decides a hypothesis' soundness by the pattern search
+    alone, with no configuration graph, and learning keeps its golden
+    digests."""
+    from test_learner_golden import GOLDEN, MEMBERSHIP_TOTAL, run
+
+    real_semantic = soundness.is_sound_semantic
+    real_make_sound = ExecLearner.make_sound
+    inside = []
+    counts = {"make_sound": 0, "semantic": 0}
+
+    def semantic(*args, **kwargs):
+        counts["semantic"] += bool(inside)
+        return real_semantic(*args, **kwargs)
+
+    def make_sound(self, hyp):
+        counts["make_sound"] += 1
+        inside.append(hyp)
+        try:
+            return real_make_sound(self, hyp)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(soundness, "is_sound_semantic", semantic)
+    monkeypatch.setattr(ExecLearner, "make_sound", make_sound)
+    for name in ("fork_split", "editorial"):
+        key = f"exec-{name}"
+        assert run("exec", name, False) == (GOLDEN[key], MEMBERSHIP_TOTAL[key])
+    assert counts["make_sound"] > 0
+    assert counts["semantic"] == 0
 
 @pytest.mark.parametrize("name,fix", ALL_FIXTURES)
 def test_learn_converges(name, fix):

@@ -1,12 +1,14 @@
 import random
+from itertools import islice
 
 from negotiations import cli
 from negotiations.formats import serialize
-from negotiations.model import Configuration, DistributedAlphabet, Negotiation, validate
+from negotiations.model import Configuration, DistributedAlphabet, Negotiation, reach, validate
 from negotiations.soundness import (
     BWitness,
     CWitness,
     FWitness,
+    _diverging_forks,
     find_any_pattern,
     find_pattern_B,
     find_pattern_C,
@@ -17,6 +19,8 @@ from negotiations.soundness import (
 from negotiations.generate import GenParams, generate
 
 import fixtures
+import oracles
+from test_learner_golden import FIXTURES
 
 
 def mutate(n: Negotiation, rng: random.Random):
@@ -146,6 +150,64 @@ def compound_cycle_fixture():
     )
 
 
+def clique_after_join():
+    """Sound: n0 forks p to s1 {p} and q to s2 {q}; they meet at z {p,q},
+    whose action d sends q to z2 {p,q} and p into a 10-node {p}-clique
+    whose nodes each also step to z2; z2 goes to fin. Every p-path from
+    the clique to a {p,q} node passes z2, where q already waits, but the
+    clique holds millions of simple p-paths."""
+    clique = tuple(f"k{i}" for i in range(10))
+    alpha = DistributedAlphabet(
+        processes=("p", "q"),
+        actions=("c", "x", "y", "d", "e", "out") + tuple(f"to_{k}" for k in clique),
+        dom={"c": ("p", "q"), "x": ("p",), "y": ("q",), "d": ("p", "q"), "e": ("p", "q"),
+             "out": ("p",), **{f"to_{k}": ("p",) for k in clique}},
+    )
+    delta = {
+        ("n0", "c", "p"): "s1",
+        ("n0", "c", "q"): "s2",
+        ("s1", "x", "p"): "z",
+        ("s2", "y", "q"): "z",
+        ("z", "d", "p"): "k0",
+        ("z", "d", "q"): "z2",
+        ("z2", "e", "p"): "nf",
+        ("z2", "e", "q"): "nf",
+    }
+    for k in clique:
+        delta[(k, "out", "p")] = "z2"
+        for k2 in clique:
+            if k2 != k:
+                delta[(k, f"to_{k2}", "p")] = k2
+    return Negotiation(
+        alphabet=alpha,
+        nodes=("n0", "s1", "s2", "z") + clique + ("z2", "nf"),
+        dnode={"n0": ("p", "q"), "s1": ("p",), "s2": ("q",), "z": ("p", "q"),
+               **{k: ("p",) for k in clique}, "z2": ("p", "q"), "nf": ("p", "q")},
+        delta=delta,
+        init="n0",
+        fin="nf",
+    )
+
+
+def mutation_corpus():
+    """(seed, variant, negotiation): sixty generated negotiations, each
+    followed by up to two seeded mutants."""
+    rng = random.Random(42)
+    for seed in range(60):
+        params = GenParams(
+            process_count=1 + seed % 3,
+            target_node_count=4 + seed % 9,
+            loop_probability=0.25,
+            fork_probability=0.35,
+            seed=seed,
+        )
+        base = generate(params)
+        for variant in range(3):
+            mutant = mutate(base, rng) if variant else base
+            if mutant is not None:
+                yield seed, variant, mutant
+
+
 class TestSemantic:
     def test_fork_sound(self):
         assert is_sound_semantic(fixtures.fork()).sound
@@ -262,6 +324,16 @@ class TestPatternC:
         assert cli.main(["sound", str(path), "--patterns"]) == cli.EXIT_FALSE
         assert '"kind":"C"' in capsys.readouterr().out
 
+    def test_closed_walk_takes_one_lap(self):
+        # the undominated set is one 5-node cycle, declared out of cycle
+        # order; joining its nodes in declared order went round it 3 times
+        from test_successor_kernel import invalid_variants  # it imports this module
+
+        _, n = next(islice(invalid_variants(), 230, None))
+        w = find_pattern_C(n)
+        assert len(w.cycle_path) == 5
+        assert verify_witness(n, w)
+
     def test_compound_only_cycle(self):
         # no simple cycle is undominated, so the witness walks the whole set
         n = compound_cycle_fixture()
@@ -287,6 +359,48 @@ class TestWitnessReplay:
 class TestPatternF:
     def test_sound_fork_none(self):
         assert find_pattern_F(fixtures.fork()) is None
+
+    def test_clique_after_join_decides(self):
+        # every simple p-path out of the clique meets z2, where q waits;
+        # an enumeration of those paths never finishes
+        n = clique_after_join()
+        assert validate(n) == []
+        assert is_sound_semantic(n).sound
+        assert find_pattern_F(n) is None
+        assert find_any_pattern(n) is None
+
+    def test_first_hit_paths_agree_with_disjoint_path_search(self):
+        """At every reachable fork, F holds exactly when the exhaustive
+        simple-path search finds two disjoint paths, and every witness
+        replays."""
+        from test_successor_kernel import invalid_variants  # it imports this module
+
+        inputs = [getattr(fixtures, name)() for name in FIXTURES]
+        inputs += [undominated_cycle_fixture(), clique_beside_shuttle(), compound_cycle_fixture()]
+        inputs += [n for _, _, n in mutation_corpus()]
+        inputs += [bad for _, bad in invalid_variants()]
+        forks = witnesses = 0
+        disagreements = []
+        for i, n in enumerate(inputs):
+            found = {(w.fork_node, w.action, w.p1, w.p2): w for w in _diverging_forks(n)}
+            succ = {}
+            for (m, _, _), t in n.delta.items():
+                succ.setdefault(m, []).append(t)
+            for m in reach(lambda v: succ.get(v, ()), [n.init]):
+                for a in n.out(m):
+                    dom = n.alphabet.dom[a]
+                    for j, p1 in enumerate(dom):
+                        for p2 in dom[j + 1 :]:
+                            forks += 1
+                            brute = oracles.brute_fork_paths(n, m, a, p1, p2)
+                            if (brute is None) != ((m, a, p1, p2) not in found):
+                                disagreements.append((i, m, a, p1, p2))
+            for w in found.values():
+                witnesses += 1
+                assert verify_witness(n, w), (i, w)
+            assert find_pattern_F(n) == next(iter(found.values()), None)
+        assert len(inputs) > 400 and forks > 2000 and witnesses > 100
+        assert not disagreements, disagreements[:3]
 
     def test_split_join(self):
         n = fixtures.fork_split()
@@ -314,28 +428,15 @@ class TestCrossOracle:
                 assert verify_witness(n, pattern)
 
     def test_mutation_corpus(self):
-        rng = random.Random(42)
         disagreements = []
         checked = 0
-        for seed in range(60):
-            params = GenParams(
-                process_count=1 + seed % 3,
-                target_node_count=4 + seed % 9,
-                loop_probability=0.25,
-                fork_probability=0.35,
-                seed=seed,
-            )
-            base = generate(params)
-            for variant in range(3):
-                mutant = mutate(base, rng) if variant else base
-                if mutant is None:
-                    continue
-                checked += 1
-                semantic = is_sound_semantic(mutant).sound
-                pattern = find_any_pattern(mutant)
-                if semantic != (pattern is None):
-                    disagreements.append((seed, variant, semantic, pattern))
-                elif pattern is not None:
-                    assert verify_witness(mutant, pattern)
+        for seed, variant, mutant in mutation_corpus():
+            checked += 1
+            semantic = is_sound_semantic(mutant).sound
+            pattern = find_any_pattern(mutant)
+            if semantic != (pattern is None):
+                disagreements.append((seed, variant, semantic, pattern))
+            elif pattern is not None:
+                assert verify_witness(mutant, pattern)
         assert checked > 100
         assert not disagreements, disagreements[:3]
