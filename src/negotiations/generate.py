@@ -2,8 +2,9 @@
 
 Structured combinators (sequence, choice, fork/join over a process
 partition, loops exiting through a dominating node) keep every output sound
-by construction; a semantic check asserts it and regeneration is only a
-safety net. Identical parameters give identical output.
+by construction; the structural pattern search asserts it on the validated
+output, where it is exact, and regeneration is only a safety net. No
+configuration graph is built. Identical parameters give identical output.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import RetryExhausted
-from .model import DistributedAlphabet, Negotiation
-from .soundness import is_sound_semantic
-from .model import validate
+from .model import DistributedAlphabet, Negotiation, validate
+from .soundness import find_any_pattern
 
 _MAX_RETRIES = 8
 
@@ -143,6 +143,6 @@ def generate(params: GenParams) -> Negotiation:
         neg = _Builder(params, rng).build()
         if validate(neg):
             continue
-        if is_sound_semantic(neg).sound:
+        if find_any_pattern(neg) is None:
             return neg
     raise RetryExhausted(f"no sound negotiation after {_MAX_RETRIES} attempts for {params}")

@@ -217,35 +217,27 @@ class ExecLearner(Learner):
         for p in self.alpha.dom[b]:
             u_p = hyp.word_of[node_of[p]]
             if not self.member(u_p, br2):
-                return self._descend(hyp, pre, NODE_REJECTS, v=v, u=u_p, t=br2,
-                                     anchor=p, companion=None)
+                return self._descend(hyp, pre, v=v, u=u_p, t=br2, anchor=p)
             if b not in self.out_of(u_p):
                 return AbsentTransE(u_p, br2)
-        p1, u1, p2, u2, t = self.scattered_split(hyp, node_of)
-        if not t:
-            raise Unclassifiable("empty test distinguishes two non-final nodes")
-        mv = self.member(v, t)
-        if mv != self.member(u1, t):
-            anchor, u_a = p1, u1
-        elif mv != self.member(u2, t):
-            anchor, u_a = p2, u2
-        else:
-            raise Unclassifiable("trace side matches both scattered nodes")
-        if mv:
-            return self._descend(hyp, pre, NODE_REJECTS, v=v, u=u_a, t=t,
-                                 anchor=anchor, companion=None)
-        return self._descend(hyp, pre, TRACE_REJECTS, v=v, u=u_a, t=t,
-                             anchor=anchor, companion=br2)
+        # Unreachable: every hypothesis handed to `counterexample` is sound
+        # and valid. Here each process of dom(b) sits at a node with b out,
+        # so that node has domain dom(b) and is not fin, which has no
+        # out-transition. Two of them at distinct nodes m1 != m2 would each
+        # wait for a process held at the other, a reachable deadlock. So they
+        # share one node and b fires there, which contradicts "stuck".
+        raise LearnerBug("stuck action whose processes all sit at nodes with it out")
 
-    def _descend(self, hyp: Hypothesis, pre, mismatch, v, u, t, anchor, companion):
+    def _descend(self, hyp: Hypothesis, pre, v, u, t, anchor):
         """Backwards descent over the anchor's replayed path.
 
         Invariants per level: the anchor sits at node `u` after replaying the
         executable part of `v`; with NODE_REJECTS the node fails the test the
         trace passes (u.t not in L, v.t in L); with TRACE_REJECTS it is the
         other way around and `companion` is a co-prime trace the trace side
-        still passes.
+        still passes. The descent starts node-rejecting.
         """
+        mismatch, companion = NODE_REJECTS, None
         stack = list(pre.history[anchor])
         v = tuple(v)
         for _ in range(len(v) + 2):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import traces
 from .errors import InvariantViolation, LearnerBug, NoSplit, Unclassifiable
@@ -90,7 +91,11 @@ class PathLearner(Learner):
                     return Neq(p, pre.prefix, traces.projection(self.alpha, r, p))
             return AbsentTrans(b, u_word, r)
         # processes of dom(b) sit at different hypothesis nodes
-        p, u_p, q, u_q, t = self.scattered_split(hyp, nodes)
+        p, q = next((p1, p2) for p1, p2 in combinations(nodes, 2) if nodes[p1] != nodes[p2])
+        u_p, u_q = hyp.word_of[nodes[p]], hyp.word_of[nodes[q]]
+        t = self.separating_test(u_p, u_q)
+        if t is None:
+            raise Unclassifiable(f"Uniqueness broken: {u_p} vs {u_q} agree on all tests")
         v = pre.prefix
         if self.member(traces.projection(self.alpha, v, p) + t) != self.member(u_p + t):
             return Neq(p, v, t)

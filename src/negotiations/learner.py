@@ -186,21 +186,6 @@ class Learner:
         b = min(traces.minimal_actions(self.alpha, pre.remainder), key=self.alpha.action_index)
         return b, {p: pre.end.node_of(p) for p in self.alpha.dom[b]}
 
-    def scattered_split(self, hyp: Hypothesis, node_of):
-        """(p1, u1, p2, u2, t): the first two processes of `node_of` sitting at
-        different nodes, those nodes' Q words and the first test separating them."""
-        procs = tuple(node_of)
-        pair = next(((p1, p2) for i, p1 in enumerate(procs) for p2 in procs[i + 1 :]
-                     if node_of[p1] != node_of[p2]), None)
-        if pair is None:
-            raise Unclassifiable("action disabled although all its processes share a node")
-        p1, p2 = pair
-        u1, u2 = hyp.word_of[node_of[p1]], hyp.word_of[node_of[p2]]
-        t = self.separating_test(u1, u2)
-        if t is None:
-            raise Unclassifiable(f"Uniqueness broken: {u1} vs {u2} agree on all tests")
-        return p1, u1, p2, u2, t
-
     # -- invariants ---------------------------------------------------------------
 
     def verify_invariants(self):

@@ -534,10 +534,11 @@ def configuration_graph(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> C
     return ConfigurationGraph(n.alphabet.processes, tuple(order), tuple(succs))
 
 
-def compute_I(n: Negotiation, node, budget: int = DEFAULT_STATE_BUDGET, reverse_ties: bool = False) -> Configuration:
+def compute_I(n: Negotiation, node, budget: int = DEFAULT_STATE_BUDGET) -> Configuration:
     """The unique reachable configuration whose enabled-node set is exactly
-    {node}. `reverse_ties` flips the BFS expansion order; the result must not
-    depend on it (uniqueness), which property tests exploit.
+    {node}. The BFS visits every reachable configuration and raises
+    AmbiguousConfiguration at a second match, so the answer does not depend
+    on the expansion order.
     """
     if node not in set(n.nodes):
         raise ValueError(f"unknown node {node!r}")
@@ -548,8 +549,6 @@ def compute_I(n: Negotiation, node, budget: int = DEFAULT_STATE_BUDGET, reverse_
     def moves(c):
         nonlocal found
         enabled, out = expand(c)
-        if reverse_ties:
-            out.reverse()
         if enabled == [node]:  # tested on expansion, before any of c's moves
             if found is not None:
                 raise AmbiguousConfiguration(

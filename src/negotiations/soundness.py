@@ -179,6 +179,19 @@ def _sccs(nodes, succ):
     return out
 
 
+def _cycle_processes(n: Negotiation, nodes: set) -> set:
+    """The processes that a cycle through the node set `nodes` involves:
+    dom(a) of every action a out of a member with an edge back into the set.
+    On a valid negotiation this is the union of dnode over the members that
+    have such an edge. The search and the witness replay both use it."""
+    procs = set()
+    for v in nodes:
+        for a in n.out(v):
+            if any(n.delta.get((v, a, p)) in nodes for p in n.alphabet.dom[a]):
+                procs |= n.alphabet.dom_set(a)
+    return procs
+
+
 def _bad_scc(n: Negotiation, nodes, succ):
     """Exact check for an undominated strongly connected subgraph: remove
     nodes dominating their SCC's process union and recurse. Returns a node
@@ -188,11 +201,7 @@ def _bad_scc(n: Negotiation, nodes, succ):
         has_edge = any(t in comp_set for v in comp for t in succ.get(v, ()))
         if not has_edge:
             continue
-        procs = set()
-        for v in comp:
-            for a in n.out(v):
-                if any(n.delta.get((v, a, p)) in comp_set for p in n.alphabet.dom[a]):
-                    procs |= n.alphabet.dom_set(a)
+        procs = _cycle_processes(n, comp_set)
         dominators = {v for v in comp if procs <= n.dnode_set(v)}
         if not dominators:
             return comp_set
@@ -343,9 +352,7 @@ def verify_witness(n: Negotiation, w) -> bool:
         cyc = walk_local(n, anchor, w.cycle_path)
         if cyc is None or cyc[-1] != anchor:
             return False
-        procs = set()
-        for a, _ in w.cycle_path:
-            procs |= n.alphabet.dom_set(a)
+        procs = _cycle_processes(n, set(cyc))
         return not any(procs <= n.dnode_set(v) for v in cyc[:-1])
     if isinstance(w, FWitness):
         seq = walk_local(n, n.init, w.access_path)

@@ -273,7 +273,7 @@ def test_criterion_8_unique_enabling_configuration(corpus):
         for node in n.nodes:
             try:
                 a = compute_I(n, node)
-                b = compute_I(n, node, reverse_ties=True)
+                b = oracles.stepwise_compute_I(n, node, reverse_ties=True)
             except AmbiguousConfiguration:
                 failures.append((i, node, "ambiguous"))
                 continue

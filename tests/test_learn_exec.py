@@ -5,10 +5,11 @@ import pytest
 from negotiations import formats, learn_exec, soundness, traces
 from negotiations.automata import minimize_negotiation, neg_equiv
 from negotiations.errors import InvariantViolation
+from negotiations.generate import GenParams, generate
 from negotiations.learn_exec import AbsentTransE, ExecLearner, TargetInstance
 from negotiations.learn_paths import PathLearner
 from negotiations.learner import Hypothesis
-from negotiations.model import Negotiation, empty_negotiation, member_exec
+from negotiations.model import Negotiation, configuration_graph, empty_negotiation, member_exec
 from negotiations.teacher import Teacher
 
 import fixtures
@@ -267,6 +268,19 @@ class TestPositiveComplete:
         assert left != right
         assert inst.r == () or traces.is_coprime(learner.alpha, inst.r)
 
+    @pytest.mark.parametrize("params", [GenParams(2, 7, 0.0, 0.3, seed=849),
+                                        GenParams(4, 7, 0.0, 0.0, seed=764)])
+    def test_learning_reaches_it(self, monkeypatch, params):
+        """Two generated targets whose learning hands a fully executable
+        positive counterexample to `_positive_complete` once."""
+        real = ExecLearner._positive_complete
+        emitted = []
+        monkeypatch.setattr(ExecLearner, "_positive_complete",
+                            lambda self, hyp, pre: emitted.append(real(self, hyp, pre)) or emitted[-1])
+        target = generate(params)
+        assert neg_equiv(learn_exec.learn(Teacher(target), debug=True), target)
+        assert [type(inst) for inst in emitted] == [TargetInstance]
+
 
 class TestDescent:
     def test_split_join_stuck_descends_to_target(self):
@@ -286,6 +300,46 @@ class TestDescent:
         if isinstance(inst, TargetInstance):
             s = learner.supports[(inst.u_prev, inst.action, inst.process)]
             assert learner.member(inst.u_prev, s, inst.r) != learner.member(inst.u_next, inst.r)
+
+
+def scattered_configurations(n):
+    """(configuration, b) for each reachable configuration that puts
+    processes of action b at two distinct nodes both having b out."""
+    outs = {m: set(n.out(m)) for m in n.nodes}
+    graph = configuration_graph(n)
+    found = []
+    for nodes in graph.order:
+        at = dict(zip(graph.processes, nodes))
+        for b in n.alphabet.actions:
+            if len({at[p] for p in n.alphabet.dom[b] if b in outs[at[p]]}) > 1:
+                found.append((nodes, b))
+    return found
+
+
+def test_sound_hypotheses_never_scatter_an_action():
+    """The lemma that makes the scattered tail of `_positive_stuck`
+    unreachable: in a sound valid negotiation no reachable configuration
+    scatters an action's processes over nodes having it out. Checked on
+    every hypothesis learning hands to `equiv_query` and on the sound
+    targets; the unsound `fork_split` target does scatter one."""
+    from test_learner_golden import FIXTURES
+
+    assert scattered_configurations(fixtures.fork_split())
+    targets = [getattr(fixtures, name)() for name in FIXTURES]
+    targets += [generate(GenParams(p, 4 * p + 4, 0.3, 0.6, seed=s))
+                for p in (1, 2, 3, 4) for s in (0, 1, 2)]
+    hypotheses = 0
+    for target in targets:
+        teacher = Teacher(target)
+        asked = []
+        ask = teacher.equiv_query
+        teacher.equiv_query = lambda h, ask=ask, asked=asked: asked.append(h) or ask(h)
+        learn_exec.learn(teacher)
+        hypotheses += len(asked)
+        assert [h for h in asked if scattered_configurations(h)] == []
+        if soundness.is_sound_semantic(target).sound:
+            assert scattered_configurations(target) == []
+    assert hypotheses > len(targets)
 
 
 class TestMakeSoundConversions:

@@ -334,6 +334,16 @@ class TestPatternC:
         assert len(w.cycle_path) == 5
         assert verify_witness(n, w)
 
+    def test_every_witness_replays_on_invalid_input(self):
+        # the search and the replay take a set's processes by one rule; on
+        # index 144 an action with dom(a) != dnode(m) told them apart
+        from test_successor_kernel import invalid_variants  # it imports this module
+
+        found = [(i, n, find_pattern_C(n)) for i, (_, n) in enumerate(invalid_variants())]
+        found = [(i, n, w) for i, n, w in found if w is not None]
+        assert len(found) >= 20
+        assert [i for i, n, w in found if not verify_witness(n, w)] == []
+
     def test_compound_only_cycle(self):
         # no simple cycle is undominated, so the witness walks the whole set
         n = compound_cycle_fixture()
