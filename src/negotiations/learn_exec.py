@@ -25,7 +25,7 @@ from .errors import (
     Unclassifiable,
 )
 from .learner import ROUND_CAP, Hypothesis, Learner, flip_index
-from .model import Negotiation
+from .model import Negotiation, walk
 from .teacher import POSITIVE, Teacher
 
 # which side of the descent invariant currently fails its test
@@ -191,21 +191,12 @@ class ExecLearner(Learner):
     def _positive_complete(self, hyp: Hypothesis, pre):
         """Counterexample fully executable but the end is not final."""
         anchor = self.stranded_process(hyp, pre)
-        words, letters = self._history_walk(hyp, pre.history[anchor], anchor)
+        letters = traces.projection(self.alpha, pre.prefix, anchor)
+        words = self._walk(hyp, letters)
         t = self._distinguishing_test(words[-1], self._sigma(words, letters), anchor)
         if t is None:
             raise Unclassifiable("no usable test splits the stranded node from its supports")
         return self.path_binary_search(words, letters, t)
-
-    def _history_walk(self, hyp: Hypothesis, entries, process):
-        words = [self.q[0]]
-        letters = []
-        for (src, a, dst) in entries:
-            if hyp.word_of[src] != words[-1]:
-                raise LearnerBug("replay history is not contiguous")
-            words.append(hyp.word_of[dst])
-            letters.append((a, process))
-        return words, letters
 
     def _positive_stuck(self, hyp: Hypothesis, pre):
         rem = pre.remainder
@@ -229,16 +220,18 @@ class ExecLearner(Learner):
         raise LearnerBug("stuck action whose processes all sit at nodes with it out")
 
     def _descend(self, hyp: Hypothesis, pre, v, u, t, anchor):
-        """Backwards descent over the anchor's replayed path.
+        """Backwards descent over the anchor's replayed path, the hypothesis
+        walk along its projection of the executed prefix.
 
         Invariants per level: the anchor sits at node `u` after replaying the
         executable part of `v`; with NODE_REJECTS the node fails the test the
         trace passes (u.t not in L, v.t in L); with TRACE_REJECTS it is the
-        other way around and `companion` is a co-prime trace the trace side
-        still passes. The descent starts node-rejecting.
+        other way around. The descent starts node-rejecting.
         """
-        mismatch, companion = NODE_REJECTS, None
-        stack = list(pre.history[anchor])
+        mismatch = NODE_REJECTS
+        letters = traces.projection(self.alpha, pre.prefix, anchor)
+        words = self._walk(hyp, letters)
+        stack = list(zip(words, letters, words[1:]))
         v = tuple(v)
         for _ in range(len(v) + 2):
             e = max(
@@ -249,12 +242,11 @@ class ExecLearner(Learner):
                 raise DescentExhausted("anchor has no event left in the trace")
             c = v[e]
             if not stack:
-                raise DescentExhausted("replay history exhausted before the trace")
-            src, action, dst = stack.pop()
-            if action != c or hyp.word_of[dst] != u:
-                raise DescentExhausted("replay history does not match the trace")
-            u_prev = hyp.word_of[src]
-            v_prev, s_k = traces.upward_closure_split(self.alpha, v, e)
+                raise DescentExhausted("replayed path exhausted before the trace")
+            u_prev, (action, _), dst = stack.pop()
+            if action != c or dst != u:
+                raise DescentExhausted("replayed path does not match the trace")
+            v_prev, _ = traces.upward_closure_split(self.alpha, v, e)
             s = self.supports[(u_prev, c, anchor)]
             check1 = self.member(u_prev, s, t)
             if mismatch is NODE_REJECTS:
@@ -276,7 +268,6 @@ class ExecLearner(Learner):
                     raise DescentExhausted("no passing continuation for the predecessor")
                 if self.member(v_prev, s, t_pass):
                     raise DescentExhausted("suffix-exchange property violated on the node-rejecting side")
-                companion = self.canon(s_k + t)
                 v, u, t = v_prev, u_prev, self.canon(s + t_pass)
                 mismatch = TRACE_REJECTS
                 continue
@@ -285,7 +276,6 @@ class ExecLearner(Learner):
                 return TargetInstance(u_prev, c, anchor, u, self.canon(t))
             if not self.member(v_prev, s, t):
                 v, u, t = v_prev, u_prev, self.canon(s + t)
-                companion = self.canon(s_k + companion)
                 continue
             raise DescentExhausted("suffix-exchange property violated on the trace-rejecting side")
         raise DescentExhausted("descent failed to terminate")
@@ -361,20 +351,15 @@ class ExecLearner(Learner):
         suffix_words[len(chunks)] = ()
         for i in range(len(chunks) - 1, -1, -1):
             suffix_words[i] = chunks[i] + suffix_words[i + 1]
-        walked_words = [u]
-        walked_letters = []
+        # each chunk is co-prime, so its minimal action is defined
+        letters = [(traces.min_action(self.alpha, chunk), p) for chunk in chunks]
+        walked_words = [hyp.word_of[x] for x in walk(hyp.negotiation, hyp.id_of[u], letters)]
+        walked_letters = letters[: len(walked_words) - 1]
         boundary = None
-        for i, chunk in enumerate(chunks):
-            a_i = traces.min_action(self.alpha, chunk)
-            nid = hyp.id_of[walked_words[-1]]
-            nxt = hyp.negotiation.delta.get((nid, a_i, p))
-            if nxt is None:
-                if self.member(walked_words[-1], suffix_words[i]):
-                    return AbsentTransE(walked_words[-1], self.canon(suffix_words[i]))
-                boundary = i
-                break
-            walked_words.append(hyp.word_of[nxt])
-            walked_letters.append((a_i, p))
+        if len(walked_letters) < len(chunks):
+            boundary = len(walked_letters)
+            if self.member(walked_words[-1], suffix_words[boundary]):
+                return AbsentTransE(walked_words[-1], self.canon(suffix_words[boundary]))
         if boundary is None:
             inst = self._try_split_path(hyp, prefix + tuple(walked_letters), p)
             if inst is not None:

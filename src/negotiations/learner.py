@@ -19,7 +19,7 @@ from itertools import chain
 
 from . import traces
 from .errors import InvariantViolation, LearnerBug, Unclassifiable
-from .model import Negotiation, empty_negotiation, validate
+from .model import Negotiation, empty_negotiation, validate, walk
 from .teacher import POSITIVE, Teacher
 
 ROUND_CAP = 100_000
@@ -162,13 +162,8 @@ class Learner:
     def _walk(self, hyp: Hypothesis, letters):
         """Nodes (as Q words) of the hypothesis walk from init along letters,
         or None when the walk leaves the hypothesis."""
-        words = [self.q[0]]
-        for (a, p) in letters:
-            nxt = hyp.negotiation.delta.get((hyp.id_of[words[-1]], a, p))
-            if nxt is None:
-                return None
-            words.append(hyp.word_of[nxt])
-        return words
+        nodes = walk(hyp.negotiation, hyp.negotiation.init, letters)
+        return [hyp.word_of[x] for x in nodes] if len(nodes) > len(letters) else None
 
     # -- counterexamples ---------------------------------------------------------
 

@@ -21,7 +21,9 @@ fires exactly those moves, so the searches never raise NotEnabled.
 Graph searches use `reach` for reachability sets and `bfs` (with `path`
 reading a label path out of its parent map) where discovery order, shortest
 paths or a first hit matter: `compute_I`, the product search, the pattern
-witnesses' access paths, the canonical renaming of minimal DFAs.
+witnesses' access paths, the canonical renaming of minimal DFAs. `walk` is
+the one local walk: the nodes a sequence of a@p letters visits, which
+`run_local_path`, the witness replay and both learners' path replays read.
 """
 
 from __future__ import annotations
@@ -377,18 +379,31 @@ def member_exec(n: Negotiation, w) -> bool:
     return run_execution(n, w).completed
 
 
+def walk(n: Negotiation, start, letters) -> list:
+    """The nodes the local walk from `start` along `letters` (a@p) visits,
+    `start` first; it stops before the first letter with no transition, so
+    a complete walk has one node more than there are letters."""
+    nodes = [start]
+    for a, p in letters:
+        nxt = n.delta.get((nodes[-1], a, p))
+        if nxt is None:
+            break
+        nodes.append(nxt)
+    return nodes
+
+
 def run_local_path(n: Negotiation, pi) -> str:
     """Walk `pi` (letters a@p) through the graph from init; returns the node
-    reached. Raises NoTransition with the failing index."""
-    node = n.init
-    for i, (a, p) in enumerate(pi):
-        if a not in n.alphabet._dom_sets:
-            raise UnknownAction(f"unknown action {a!r}")
-        nxt = n.delta.get((node, a, p))
-        if nxt is None:
-            raise NoTransition(i, (a, p), node)
-        node = nxt
-    return node
+    reached. Raises NoTransition with the failing index, or UnknownAction
+    when the letter there has an unknown action."""
+    pi = tuple(pi)
+    nodes = walk(n, n.init, pi)
+    i = len(nodes) - 1
+    if i < len(pi):  # letters before i have transitions, so known actions
+        a, p = pi[i]
+        n.alphabet.check_word((a,))
+        raise NoTransition(i, (a, p), nodes[i])
+    return nodes[i]
 
 
 def member_path(n: Negotiation, pi) -> bool:

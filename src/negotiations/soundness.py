@@ -23,6 +23,7 @@ from .model import (
     configuration_graph,
     path,
     reach,
+    walk,
 )
 
 
@@ -323,40 +324,29 @@ def find_any_pattern(n: Negotiation):
 # Witness replay, a cross-check for the tests and the benchmark
 
 
-def walk_local(n: Negotiation, start, path):
-    """Node sequence of a labeled walk, or None at a hop with no transition."""
-    seq = [start]
-    for a, p in path:
-        nxt = n.delta.get((seq[-1], a, p))
-        if nxt is None:
-            return None
-        seq.append(nxt)
-    return seq
-
-
 def verify_witness(n: Negotiation, w) -> bool:
     """Does a pattern witness hold in `n`? False for a path leaving `n`."""
     if isinstance(w, BWitness):
         if any(p != w.process for _, p in w.access_path):
             return False
-        seq = walk_local(n, n.init, w.access_path)
-        if seq is None or seq[-1] != w.blocked_node:
+        seq = walk(n, n.init, w.access_path)
+        if len(seq) <= len(w.access_path) or seq[-1] != w.blocked_node:
             return False
         edges = _edges(n, w.process)
         return n.fin not in bfs(w.blocked_node, lambda s: edges.get(s, ()))[0]
     if isinstance(w, CWitness):
-        seq = walk_local(n, n.init, w.entry_path)
-        if seq is None or not w.cycle_path:
+        seq = walk(n, n.init, w.entry_path)
+        if len(seq) <= len(w.entry_path) or not w.cycle_path:
             return False
         anchor = seq[-1]
-        cyc = walk_local(n, anchor, w.cycle_path)
-        if cyc is None or cyc[-1] != anchor:
+        cyc = walk(n, anchor, w.cycle_path)
+        if len(cyc) <= len(w.cycle_path) or cyc[-1] != anchor:
             return False
         procs = _cycle_processes(n, set(cyc))
         return not any(procs <= n.dnode_set(v) for v in cyc[:-1])
     if isinstance(w, FWitness):
-        seq = walk_local(n, n.init, w.access_path)
-        if seq is None or seq[-1] != w.fork_node:
+        seq = walk(n, n.init, w.access_path)
+        if len(seq) <= len(w.access_path) or seq[-1] != w.fork_node:
             return False
         s1 = n.delta.get((w.fork_node, w.action, w.p1))
         s2 = n.delta.get((w.fork_node, w.action, w.p2))
@@ -364,9 +354,9 @@ def verify_witness(n: Negotiation, w) -> bool:
             return False
         if any(p != w.p1 for _, p in w.path1) or any(p != w.p2 for _, p in w.path2):
             return False
-        seq1 = walk_local(n, s1, w.path1)
-        seq2 = walk_local(n, s2, w.path2)
-        if seq1 is None or seq2 is None or set(seq1) & set(seq2):
+        seq1 = walk(n, s1, w.path1)
+        seq2 = walk(n, s2, w.path2)
+        if len(seq1) <= len(w.path1) or len(seq2) <= len(w.path2) or set(seq1) & set(seq2):
             return False
         n1, n2 = seq1[-1], seq2[-1]
         want = {w.p1, w.p2}

@@ -215,16 +215,15 @@ def step_decomposition(alpha: DistributedAlphabet, r, p) -> StepDecomposition:
 
 @dataclass
 class PrefixResult:
-    """Outcome of the greedy maximal-executable-prefix fixpoint.
-
-    `history[p]` lists the transitions process p traversed, as
-    (source_node, action, target_node) triples in firing order.
+    """Outcome of the greedy maximal-executable-prefix fixpoint: the fired
+    `prefix`, the unfired `remainder` and the configuration `end` reached.
+    `step` moves each process along `delta`, so process p's nodes are
+    `model.walk` from init along `projection(prefix, p)`.
     """
 
     prefix: tuple
     remainder: tuple
     end: Configuration
-    history: dict
 
 
 def max_executable_prefix(n: Negotiation, w, rng=None) -> PrefixResult:
@@ -239,7 +238,6 @@ def max_executable_prefix(n: Negotiation, w, rng=None) -> PrefixResult:
     rest = list(w)
     c = n.initial_configuration()
     fired = []
-    history = {p: [] for p in alpha.processes}
     while True:
         enabled = set(enabled_actions(n, c))
         enabled_now = [i for i in minimal_event_indices(alpha, rest) if rest[i] in enabled]
@@ -247,9 +245,6 @@ def max_executable_prefix(n: Negotiation, w, rng=None) -> PrefixResult:
             break
         pick = enabled_now[0] if rng is None else rng.choice(enabled_now)
         a = rest.pop(pick)
-        src = {p: c.node_of(p) for p in alpha.dom[a]}
         c = step(n, c, a)
-        for p in alpha.dom[a]:
-            history[p].append((src[p], a, c.node_of(p)))
         fired.append(a)
-    return PrefixResult(tuple(fired), tuple(rest), c, history)
+    return PrefixResult(tuple(fired), tuple(rest), c)

@@ -5,7 +5,8 @@ import pytest
 from negotiations import learn_paths, traces
 from negotiations.automata import minimize_negotiation, neg_equiv
 from negotiations.errors import NoSplit
-from negotiations.learn_paths import AbsentTrans, PathLearner
+from negotiations.formats import parse
+from negotiations.learn_paths import AbsentTrans, Neq, PathLearner
 from negotiations.model import empty_negotiation
 from negotiations.teacher import Teacher
 
@@ -194,6 +195,43 @@ def _drive(learner, teacher):
             learner.apply_neq(hyp, inst)
         learner.restore_closure()
     raise AssertionError("did not converge")
+
+
+# a minimal target whose learning finds the stuck action's processes at two
+# distinct hypothesis nodes once
+SCATTERED = parse(
+    '{"processes":["p","q"],"actions":{"a0":["p","q"],"a1":["q"],"a2":["q"],"a3":["p","q"],'
+    '"a4":["p"]},"nodes":{"s0":["p","q"],"s1":["q"],"s2":["p","q"],"s3":["q"]},'
+    '"init":"s0","fin":"s2","transitions":[["s0","a0","p","s0"],["s0","a0","q","s1"],'
+    '["s0","a3","p","s2"],["s0","a3","q","s2"],["s1","a1","q","s0"],["s1","a2","q","s3"],'
+    '["s3","a1","q","s0"],["s3","a2","q","s0"]]}'
+)
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_scattered_positive_reaches_its_branch(monkeypatch, debug):
+    """The scattered branch of `_classify_positive` splits on the process
+    whose projection disagrees with its hypothesis node."""
+    real_stuck, real_classify = PathLearner.stuck_action, PathLearner._classify_positive
+    scattered, emitted = [], []
+
+    def stuck_action(self, pre):
+        b, nodes = real_stuck(self, pre)
+        scattered.append(len(set(nodes.values())) > 1)
+        return b, nodes
+
+    def classify_positive(self, hyp, w):
+        scattered.clear()
+        inst = real_classify(self, hyp, w)
+        if any(scattered):
+            emitted.append(inst)
+        return inst
+
+    monkeypatch.setattr(PathLearner, "stuck_action", stuck_action)
+    monkeypatch.setattr(PathLearner, "_classify_positive", classify_positive)
+    got = learn_paths.learn(Teacher(SCATTERED), debug=debug)
+    assert neg_equiv(got, SCATTERED) and len(got.nodes) == 4
+    assert emitted == [Neq("q", ("a0", "a2", "a2"), (("a3", "p"),))]
 
 
 class TestProgress:

@@ -7,6 +7,7 @@ import pytest
 
 from negotiations.errors import (
     ConfigurationNotFound,
+    NoTransition,
     NotEnabled,
     StateBudgetExceeded,
     UnknownAction,
@@ -28,6 +29,7 @@ from negotiations.model import (
     step,
     successor_function,
     validate,
+    walk,
 )
 from negotiations import traces
 from negotiations.formats import serialize
@@ -231,6 +233,23 @@ class TestLocalPaths:
             assert getattr(exc, "index", None) == 1
         else:
             pytest.fail("expected NoTransition")
+
+    def test_errors_in_letter_order(self):
+        """NoTransition at the first missing hop, even when an unknown action
+        follows it; UnknownAction for one at or before that hop."""
+        n = fixtures.fork()
+        with pytest.raises(NoTransition) as info:
+            run_local_path(n, (("y", "p"), ("zz", "p")))
+        assert (info.value.index, info.value.letter, info.value.node) == (0, ("y", "p"), "n0")
+        with pytest.raises(UnknownAction):
+            run_local_path(n, (("zz", "p"), ("y", "p")))
+
+    def test_walk_stops_before_a_missing_hop(self):
+        n = fixtures.fork()
+        assert walk(n, "n0", (("c", "q"), ("y", "q"), ("d", "q"))) == ["n0", "n2", "n3", "nf"]
+        assert walk(n, "n0", (("c", "p"), ("y", "p"), ("x", "p"))) == ["n0", "n1"]
+        assert walk(n, "n1", (("x", "p"), ("d", "p"))) == ["n1", "n3", "nf"]
+        assert walk(n, "nf", ()) == ["nf"]
 
     def test_member_path(self):
         n = fixtures.fork()

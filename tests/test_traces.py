@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negotiations.errors import NotCoprime, ProcessNotInDmin, UnknownAction
-from negotiations.model import DistributedAlphabet
+from negotiations.model import DistributedAlphabet, walk
 from negotiations import traces
 
 import fixtures
@@ -302,11 +302,13 @@ class TestMaxExecutablePrefix:
         assert traces.trace_equal(n.alphabet, res.prefix, ("c", "x"))
         assert traces.trace_equal(n.alphabet, res.remainder, ("y", "d"))
 
-    def test_history_records_transitions(self):
+    def test_projection_walks_visit_the_fired_nodes(self):
+        """Each process's nodes are the walk along its projection."""
         n = fixtures.fork()
         res = traces.max_executable_prefix(n, ("c", "y", "x", "d"))
-        assert res.history["p"] == [("n0", "c", "n1"), ("n1", "x", "n3"), ("n3", "d", "nf")]
-        assert res.history["q"] == [("n0", "c", "n2"), ("n2", "y", "n3"), ("n3", "d", "nf")]
+        walked = {p: walk(n, n.init, traces.projection(n.alphabet, res.prefix, p))
+                  for p in n.alphabet.processes}
+        assert walked == {"p": ["n0", "n1", "n3", "nf"], "q": ["n0", "n2", "n3", "nf"]}
 
     def test_randomized_schedules_agree(self):
         """Confluence: randomized firing orders give the same prefix trace."""
