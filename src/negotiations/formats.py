@@ -44,7 +44,9 @@ def _names(where: str, values) -> tuple:
 def parse(text: str) -> Negotiation:
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
+    # ValueError covers JSONDecodeError and integers past the digit limit;
+    # RecursionError, documents nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level value must be an object")
@@ -99,7 +101,11 @@ def parse(text: str) -> Negotiation:
 
 def load(path: str) -> Negotiation:
     with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc}") from exc
+    return parse(text)
 
 
 def save(n: Negotiation, path: str):
@@ -139,8 +145,12 @@ def parse_execution(text: str, alphabet: DistributedAlphabet):
 # -- DOT ----------------------------------------------------------------------
 
 
-def _dot_quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
+def _dot_text(s: str, special: str = "") -> str:
+    """`s` for a quoted DOT string whose label shows `s`: a backslash before
+    each backslash, each double quote and each character of `special`."""
+    for c in '\\"' + special:
+        s = s.replace(c, "\\" + c)
+    return s
 
 
 def export_dot(n: Negotiation) -> str:
@@ -152,14 +162,15 @@ def export_dot(n: Negotiation) -> str:
             shape = ' color=blue'
         elif m == n.fin:
             shape = ' color=red'
-        lines.append(f"  {_dot_quote(m)} [label={_dot_quote(m + ' | ' + dom)}{shape}];")
+        label = " | ".join(_dot_text(x, "{}|<>") for x in (m, dom))  # record syntax
+        lines.append(f'  "{_dot_text(m)}" [label="{label}"{shape}];')
     for m in n.nodes:
         for a in n.alphabet.actions:
             for p in n.alphabet.processes:
                 t = n.delta.get((m, a, p))
                 if t is not None:
                     lines.append(
-                        f"  {_dot_quote(m)} -> {_dot_quote(t)} [label={_dot_quote(f'{a}@{p}')}];"
+                        f'  "{_dot_text(m)}" -> "{_dot_text(t)}" [label="{_dot_text(a + "@" + p)}"];'
                     )
     lines.append("}")
     return "\n".join(lines) + "\n"

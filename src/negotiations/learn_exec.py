@@ -28,11 +28,6 @@ from .learner import ROUND_CAP, Hypothesis, Learner, flip_index
 from .model import Negotiation, walk
 from .teacher import POSITIVE, Teacher
 
-# which side of the descent invariant currently fails its test
-NODE_REJECTS = "node-rejects"
-TRACE_REJECTS = "trace-rejects"
-
-
 @dataclass
 class AbsentTransE:
     """out_extend instance: r co-prime, u.r in L, min(r) not yet out of u."""
@@ -191,12 +186,10 @@ class ExecLearner(Learner):
     def _positive_complete(self, hyp: Hypothesis, pre):
         """Counterexample fully executable but the end is not final."""
         anchor = self.stranded_process(hyp, pre)
-        letters = traces.projection(self.alpha, pre.prefix, anchor)
-        words = self._walk(hyp, letters)
-        t = self._distinguishing_test(words[-1], self._sigma(words, letters), anchor)
-        if t is None:
+        inst = self._try_split_path(hyp, traces.projection(self.alpha, pre.prefix, anchor), anchor)
+        if inst is None:
             raise Unclassifiable("no usable test splits the stranded node from its supports")
-        return self.path_binary_search(words, letters, t)
+        return inst
 
     def _positive_stuck(self, hyp: Hypothesis, pre):
         rem = pre.remainder
@@ -224,16 +217,17 @@ class ExecLearner(Learner):
         walk along its projection of the executed prefix.
 
         Invariants per level: the anchor sits at node `u` after replaying the
-        executable part of `v`; with NODE_REJECTS the node fails the test the
-        trace passes (u.t not in L, v.t in L); with TRACE_REJECTS it is the
-        other way around. The descent starts node-rejecting.
+        executable part of `v`; while `node_rejects` holds the node fails the
+        test the trace passes (u.t not in L, v.t in L), and afterwards it is
+        the other way around. Each level drops the anchor's last event from
+        `v`, so the loop ends.
         """
-        mismatch = NODE_REJECTS
+        node_rejects = True
         letters = traces.projection(self.alpha, pre.prefix, anchor)
         words = self._walk(hyp, letters)
         stack = list(zip(words, letters, words[1:]))
         v = tuple(v)
-        for _ in range(len(v) + 2):
+        while True:
             e = max(
                 (i for i, a in enumerate(v) if anchor in self.alpha.dom_set(a)),
                 default=None,
@@ -249,7 +243,7 @@ class ExecLearner(Learner):
             v_prev, _ = traces.upward_closure_split(self.alpha, v, e)
             s = self.supports[(u_prev, c, anchor)]
             check1 = self.member(u_prev, s, t)
-            if mismatch is NODE_REJECTS:
+            if node_rejects:
                 if check1:
                     return TargetInstance(u_prev, c, anchor, u, self.canon(t))
                 if self.member(v_prev, s, t):
@@ -269,7 +263,7 @@ class ExecLearner(Learner):
                 if self.member(v_prev, s, t_pass):
                     raise DescentExhausted("suffix-exchange property violated on the node-rejecting side")
                 v, u, t = v_prev, u_prev, self.canon(s + t_pass)
-                mismatch = TRACE_REJECTS
+                node_rejects = False
                 continue
             # trace side rejects
             if not check1:
@@ -278,7 +272,6 @@ class ExecLearner(Learner):
                 v, u, t = v_prev, u_prev, self.canon(s + t)
                 continue
             raise DescentExhausted("suffix-exchange property violated on the trace-rejecting side")
-        raise DescentExhausted("descent failed to terminate")
 
     # -- soundness repairs -------------------------------------------------------
 
@@ -303,7 +296,7 @@ class ExecLearner(Learner):
         trace-equivalent to its support concatenation."""
         words = self._walk(hyp, letters)
         if words is None:
-            raise LearnerBug("pattern witness path leaves the hypothesis")
+            raise LearnerBug("path to split leaves the hypothesis")
         sigma = self._sigma(words, letters)
         t = self._distinguishing_test(words[-1], sigma, anchor)
         if t is None:
@@ -343,55 +336,51 @@ class ExecLearner(Learner):
                 return inst
         words = self._walk(hyp, prefix)
         u, sigma = words[-1], self._sigma(words, prefix)
+        # Not None: the blocked node is not fin, so `build_hypothesis` gave
+        # it dom(min_action(t_pass)) through `node_domain`, which reads this
+        # same test. That domain holds p, as a p-path reaches the node, so
+        # p's first event in t_pass is its minimal one and the chunks below
+        # partition t_pass in dependence order: suffix_words[0] ~ t_pass.
         t_pass = self.passing_test(u)
-        if t_pass is None:
-            raise NoRepairFound("blocked node has no nonempty passing test")
         chunks = self._p_chunks(t_pass, p)
-        suffix_words = [None] * (len(chunks) + 1)
-        suffix_words[len(chunks)] = ()
-        for i in range(len(chunks) - 1, -1, -1):
-            suffix_words[i] = chunks[i] + suffix_words[i + 1]
+        suffix_words = [tuple(chain.from_iterable(chunks[i:])) for i in range(len(chunks) + 1)]
         # each chunk is co-prime, so its minimal action is defined
         letters = [(traces.min_action(self.alpha, chunk), p) for chunk in chunks]
         walked_words = [hyp.word_of[x] for x in walk(hyp.negotiation, hyp.id_of[u], letters)]
-        walked_letters = letters[: len(walked_words) - 1]
-        boundary = None
-        if len(walked_letters) < len(chunks):
-            boundary = len(walked_letters)
-            if self.member(walked_words[-1], suffix_words[boundary]):
-                return AbsentTransE(walked_words[-1], self.canon(suffix_words[boundary]))
-        if boundary is None:
+        hi = len(walked_words) - 1
+        walked_letters = letters[:hi]
+        if hi < len(chunks):  # the walk stopped at a boundary
+            if self.member(walked_words[-1], suffix_words[hi]):
+                return AbsentTransE(walked_words[-1], self.canon(suffix_words[hi]))
+
+            def g(i):  # flip scan over the walked-node words
+                return self.member(walked_words[i], suffix_words[i])
+        else:
             inst = self._try_split_path(hyp, prefix + tuple(walked_letters), p)
             if inst is not None:
                 return inst
-            # flip scan over sigma-prefixed hybrid words
             walk_supports = self._support_seq(walked_words, walked_letters)
-            hi = len(walked_letters)
 
-            def g(i):
+            def g(i):  # flip scan over sigma-prefixed hybrid words
                 return self.member(sigma, *walk_supports[:i], suffix_words[i])
-        else:
-            # flip scan over the walked-node words, up to where the walk stopped
-            hi = boundary
 
-            def g(i):
-                return self.member(walked_words[i], suffix_words[i])
-
-        g_lo, g_hi = g(0), g(hi)
-        if boundary is None and (not g_lo or g_hi):
-            raise NoRepairFound("blocking witness hybrid endpoints out of shape")
-        if g_lo == g_hi:
-            raise NoRepairFound("blocking witness produced equal endpoints")
+        # No endpoint check: g(0) holds and g(hi) fails on every hypothesis.
+        # g(0): with a boundary, it is u.t_pass in L. With a complete walk,
+        # either the prefix is empty and sigma = u = (), or the split above
+        # returned None while u passes t_pass in T, which forces sigma.t_pass
+        # in L. g(hi): with a boundary, it is the AbsentTransE test above.
+        # With a complete walk, the second split returned None with () in T,
+        # so sigma with all walk supports is in L exactly when the walk's end
+        # word is. The end is reached from the blocked node by a p-path, so
+        # it is not fin, and its word is not the accepted one.
         return self._b_flip_case(hyp, prefix, walked_words, walked_letters,
-                                 suffix_words, p, flip_index(g, 0, hi, g_lo))
+                                 suffix_words, p, flip_index(g, 0, hi, True))
 
     def _p_chunks(self, t, p):
         """Decompose a co-prime test with p minimal into chunks anchored at
         p's events: chunk i is the upward closure of the i-th p-event minus
         the closure of the next one."""
         positions = [i for i, a in enumerate(t) if p in self.alpha.dom_set(a)]
-        if not positions:
-            raise LearnerBug(f"test {t} has no event of {p}")
         closures = [set(traces.upward_closure_indices(self.alpha, t, e)) for e in positions]
         closures.append(set())
         chunks = []
@@ -404,9 +393,8 @@ class ExecLearner(Learner):
         """Resolve a flip between positions i and i+1 of the chunk walk into
         a Target instance (possibly via the suffix-exchange argument)."""
         if not self.member(walked_words[i], suffix_words[i]):
+            # letters is nonempty: at i = 0 this is u.t_pass, which is in L
             letters, r = prefix + tuple(walked_letters[:i]), suffix_words[i]
-            if not letters:
-                raise NoRepairFound("flip at the walk's origin")
         elif self.member(walked_words[i + 1], suffix_words[i + 1]):
             letters, r = prefix + tuple(walked_letters[: i + 1]), suffix_words[i + 1]
         else:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from negotiations import cli
 from negotiations.errors import ParseError
-from negotiations.formats import parse, serialize
+from negotiations.formats import load, parse, serialize
 from negotiations.generate import GenParams, generate
 from negotiations.model import Negotiation
 
@@ -158,6 +158,27 @@ def test_deeply_nested_field_is_a_parse_error(tmp_path, capsys):
         parse(text)
     path = tmp_path / "deep.json"
     path.write_text(text, encoding="utf-8")
+    assert cli.main(["sound", str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    """A JSON integer longer than Python converts (a ValueError, not a
+    JSONDecodeError) is malformed input; `neg` exits 2 with a message."""
+    text = serialize(fixtures.fork()).replace('"init":"n0"', '"init":' + "9" * 5000)
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse(text)
+    path = tmp_path / "long.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["sound", str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(serialize(fixtures.fork()).replace("n0", "n\xe9").encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load(str(path))
     assert cli.main(["sound", str(path)]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
 

@@ -301,6 +301,32 @@ class TestDescent:
             s = learner.supports[(inst.u_prev, inst.action, inst.process)]
             assert learner.member(inst.u_prev, s, inst.r) != learner.member(inst.u_next, inst.r)
 
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_learning_descends_past_the_first_level(self, monkeypatch, debug):
+        """A 5-node target whose one descent goes past its first level: at
+        the first level the predecessor's support word rejects the test as
+        well, so the Target lands one edge earlier on p's path."""
+        target = formats.parse(
+            '{"processes":["p","q"],"actions":{"a0":["p","q"],"a1":["p","q"],"a2":["p"]},'
+            '"nodes":{"s0":["p","q"],"s1":["p","q"],"s2":["p"],"s3":["p","q"],"s4":["p"]},'
+            '"init":"s0","fin":"s1","transitions":[["s0","a0","p","s1"],["s0","a0","q","s1"],'
+            '["s0","a1","p","s2"],["s0","a1","q","s3"],["s2","a2","p","s4"],["s3","a0","p","s1"],'
+            '["s3","a0","q","s1"],["s3","a1","p","s4"],["s3","a1","q","s3"],["s4","a2","p","s3"]]}'
+        )
+        real = ExecLearner._descend
+        emitted = []
+
+        def descend(self, hyp, pre, v, u, t, anchor):
+            inst = real(self, hyp, pre, v, u, t, anchor)
+            emitted.append((u, inst))
+            return inst
+
+        monkeypatch.setattr(ExecLearner, "_descend", descend)
+        assert neg_equiv(learn_exec.learn(Teacher(target), debug=debug), target)
+        assert [(u, inst.u_prev, inst.action, inst.process, inst.u_next) for u, inst in emitted] == [
+            (("a1", "a2"), ("a1", "a2"), "a2", "p", ())
+        ]
+
 
 def scattered_configurations(n):
     """(configuration, b) for each reachable configuration that puts

@@ -1,6 +1,7 @@
 import functools
 import json
 import operator
+import re
 import subprocess
 import sys
 
@@ -177,6 +178,22 @@ class TestDot:
         assert any("q not in dom(x)" in v for v in validate(n))
         assert parse(serialize(n)) == n
         assert '"n1" -> "n3" [label="x@q"];' in export_dot(n)
+
+    def test_names_with_dot_syntax_are_escaped(self):
+        """A trailing backslash ends no quoted string early, and { } | < >
+        in a node name stay text in its record label. Textual checks: the
+        DOT is not rendered."""
+        obj = json.loads(serialize(fixtures.fork()))
+        names = {"n1": "i\\", "n2": "{a|<b>}"}
+        obj["nodes"] = {names.get(m, m): ps for m, ps in obj["nodes"].items()}
+        obj["transitions"] = [[names.get(x, x) for x in row] for row in obj["transitions"]]
+        text = export_dot(parse(json.dumps(obj)))
+        assert '"i\\\\" [label="i\\\\ | p"];' in text
+        assert '"n0" -> "i\\\\" [label="c@p"];' in text
+        assert '"{a|<b>}" [label="\\{a\\|\\<b\\>\\} | q"];' in text
+        # every quoted string closes on its line, escapes read pairwise
+        for line in text.splitlines():
+            assert '"' not in re.sub(r'"(?:[^"\\]|\\.)*"', "", line)
 
 
 def run_cli(*args):
