@@ -90,60 +90,40 @@ def trim(dfa: PartialDfa) -> PartialDfa:
     )
 
 
-_SINK = "__sink__"
-
-
 def minimize(dfa: PartialDfa) -> PartialDfa:
-    """Trim, complete with a sink, refine partitions Moore-style, strip the
-    sink class, and rename canonically by BFS order."""
+    """Trim, refine partitions Moore-style, and rename canonically by BFS
+    order."""
     letters = dfa.alphabet.local_letters()
     dfa = trim(dfa)
-    states = list(dfa.states) + [_SINK]
-
-    def target(s, l):
-        if s == _SINK:
-            return _SINK
-        return dfa.delta.get((s, l), _SINK)
+    # the empty language: trimming kept init alone, maybe with a self-loop
+    if not dfa.finals:
+        return PartialDfa(dfa.alphabet, ("s0",), {}, "s0", frozenset())
 
     # Moore refinement: split blocks by (block of successor per letter),
     # numbering the classes in first-seen order; the canonical renaming
-    # below makes the numbering irrelevant.
-    block = {s: (s in dfa.finals) for s in states}
+    # below makes the numbering irrelevant. A missing move reads as None,
+    # a marker of its own: after trimming every state is live, so none is
+    # equivalent to the missing moves' sink.
+    block = {s: (s in dfa.finals) for s in dfa.states}
     while True:
         ids = {}
-        new_block = {s: ids.setdefault((block[s], tuple(block[target(s, l)] for l in letters)),
+        new_block = {s: ids.setdefault((block[s], tuple(block.get(dfa.delta.get((s, l)))
+                                                        for l in letters)),
                                        len(ids))
-                     for s in states}
+                     for s in dfa.states}
         stable = len(ids) == len(set(block.values()))
         block = new_block
         if stable:
             break
 
-    sink_class = block[_SINK]
-    init_class = block[dfa.init]
-    # the empty language: every state, the initial one included, is dead
-    if init_class == sink_class:
-        return PartialDfa(dfa.alphabet, ("s0",), {}, "s0", frozenset())
-    class_of = {s: block[s] for s in dfa.states if block[s] != sink_class}
-    delta = {}
-    finals = set()
-    for s in dfa.states:
-        if block[s] == sink_class:
-            continue
-        if s in dfa.finals:
-            finals.add(block[s])
-        for l in letters:
-            t = target(s, l)
-            if block[t] != sink_class:
-                delta[(block[s], l)] = block[t]
     merged = PartialDfa(
         alphabet=dfa.alphabet,
-        states=tuple(sorted(set(class_of.values()))),
-        delta=delta,
-        init=init_class,
-        finals=frozenset(finals),
+        states=tuple(sorted(set(block.values()))),
+        delta={(block[s], l): block[t] for (s, l), t in dfa.delta.items()},
+        init=block[dfa.init],
+        finals=frozenset(block[s] for s in dfa.finals),
     )
-    # trimming first left every state live, so the quotient is trim too
+    # every state is live, so the quotient is trim too
     return canonical_relabel(merged)
 
 

@@ -92,19 +92,3 @@ class InvariantViolation(LearnerBug):
 
 class NoSplit(LearnerBug):
     pass
-
-
-class Unclassifiable(LearnerBug):
-    pass
-
-
-class NoDefectiveProjection(LearnerBug):
-    pass
-
-
-class DescentExhausted(LearnerBug):
-    pass
-
-
-class NoRepairFound(LearnerBug):
-    pass

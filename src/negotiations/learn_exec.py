@@ -5,8 +5,11 @@ Nodes and tests are Mazurkiewicz traces; transitions carry trace supports
 S(u,b,p) (a (b,p)-step standing in for the progress the other processes make
 while p crosses the transition). Counterexample analysis walks replayed
 hypothesis paths backwards, and soundness is restored from pattern witnesses
-before every equivalence query. The table, the bisection and the round
-loop are the shared core in `learner`.
+before every equivalence query: each witness lists local paths whose walked
+end may split from its supports, and a B witness none of whose paths splits
+walks p from its blocked node along a passing test, one p-event at a time.
+The table, the bisection and the round loop are the shared core in
+`learner`.
 """
 
 from __future__ import annotations
@@ -15,18 +18,17 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import soundness, traces
-from .errors import (
-    DescentExhausted,
-    InvariantViolation,
-    LearnerBug,
-    NoDefectiveProjection,
-    NoRepairFound,
-    NoSplit,
-    Unclassifiable,
-)
+from .errors import InvariantViolation, LearnerBug, NoSplit
 from .learner import ROUND_CAP, Hypothesis, Learner, flip_index
 from .model import Negotiation, walk
 from .teacher import POSITIVE, Teacher
+
+# what `make_sound` raises when no path of a C or F witness splits
+_NO_SPLIT = {
+    "C": "cycle witness stayed consistent past the iteration cap",
+    "F": "fork witness produced no splittable prefix",
+}
+
 
 @dataclass
 class AbsentTransE:
@@ -173,9 +175,7 @@ class ExecLearner(Learner):
                 raise LearnerBug("negative counterexample projection leaves the hypothesis")
             if not self.member(self._sigma(words, letters)):
                 return self.path_binary_search(words, letters, ())
-        raise NoDefectiveProjection(
-            "all projection supports accepted for a negative counterexample"
-        )
+        raise LearnerBug("all projection supports accepted for a negative counterexample")
 
     def handle_positive(self, hyp: Hypothesis, w):
         pre = traces.max_executable_prefix(hyp.negotiation, w)
@@ -186,9 +186,9 @@ class ExecLearner(Learner):
     def _positive_complete(self, hyp: Hypothesis, pre):
         """Counterexample fully executable but the end is not final."""
         anchor = self.stranded_process(hyp, pre)
-        inst = self._try_split_path(hyp, traces.projection(self.alpha, pre.prefix, anchor), anchor)
+        inst = self._first_split(hyp, (traces.projection(self.alpha, pre.prefix, anchor),))
         if inst is None:
-            raise Unclassifiable("no usable test splits the stranded node from its supports")
+            raise LearnerBug("no usable test splits the stranded node from its supports")
         return inst
 
     def _positive_stuck(self, hyp: Hypothesis, pre):
@@ -233,13 +233,13 @@ class ExecLearner(Learner):
                 default=None,
             )
             if e is None:
-                raise DescentExhausted("anchor has no event left in the trace")
+                raise LearnerBug("anchor has no event left in the trace")
             c = v[e]
             if not stack:
-                raise DescentExhausted("replayed path exhausted before the trace")
+                raise LearnerBug("replayed path exhausted before the trace")
             u_prev, (action, _), dst = stack.pop()
             if action != c or dst != u:
-                raise DescentExhausted("replayed path does not match the trace")
+                raise LearnerBug("replayed path does not match the trace")
             v_prev, _ = traces.upward_closure_split(self.alpha, v, e)
             s = self.supports[(u_prev, c, anchor)]
             check1 = self.member(u_prev, s, t)
@@ -259,9 +259,9 @@ class ExecLearner(Learner):
                     None,
                 )
                 if t_pass is None:
-                    raise DescentExhausted("no passing continuation for the predecessor")
+                    raise LearnerBug("no passing continuation for the predecessor")
                 if self.member(v_prev, s, t_pass):
-                    raise DescentExhausted("suffix-exchange property violated on the node-rejecting side")
+                    raise LearnerBug("suffix-exchange property violated on the node-rejecting side")
                 v, u, t = v_prev, u_prev, self.canon(s + t_pass)
                 node_rejects = False
                 continue
@@ -271,140 +271,124 @@ class ExecLearner(Learner):
             if not self.member(v_prev, s, t):
                 v, u, t = v_prev, u_prev, self.canon(s + t)
                 continue
-            raise DescentExhausted("suffix-exchange property violated on the trace-rejecting side")
+            raise LearnerBug("suffix-exchange property violated on the trace-rejecting side")
 
     # -- soundness repairs -------------------------------------------------------
 
     def make_sound(self, hyp: Hypothesis):
         """None when the hypothesis is sound; otherwise an extension instance
         derived from a pattern witness. Hypotheses are valid, so the pattern
-        search alone decides soundness."""
+        search alone decides soundness. Every witness first lists local paths
+        to split; a B witness none of whose paths splits goes on to the
+        chunk walk from its blocked node."""
         witness = soundness.find_any_pattern(hyp.negotiation)
         if witness is None:
             return None
+        inst = self._first_split(hyp, self._witness_paths(witness))
+        if inst is not None:
+            return inst
         if witness.kind == "B":
-            return self._convert_b(hyp, witness)
-        if witness.kind == "C":
-            return self._convert_c(hyp, witness)
-        return self._convert_f(hyp, witness)
+            return self._b_chunk_walk(hyp, witness)
+        raise LearnerBug(_NO_SPLIT[witness.kind])
 
     def _sigma(self, words, letters):
         return tuple(a for s in self._support_seq(words, letters) for a in s)
 
-    def _try_split_path(self, hyp: Hypothesis, letters, anchor):
-        """Target instance when the endpoint of the walked path is not
-        trace-equivalent to its support concatenation."""
-        words = self._walk(hyp, letters)
-        if words is None:
-            raise LearnerBug("path to split leaves the hypothesis")
-        sigma = self._sigma(words, letters)
-        t = self._distinguishing_test(words[-1], sigma, anchor)
-        if t is None:
-            return None
-        return self.path_binary_search(words, letters, t)
-
-    def _first_split(self, hyp: Hypothesis, paths, failure):
-        """The target instance of the first nonempty letter path in `paths`,
-        tried lazily in order, that splits at its last letter's process."""
-        for letters in paths:
-            if letters:
-                inst = self._try_split_path(hyp, letters, letters[-1][1])
-                if inst is not None:
-                    return inst
-        raise NoRepairFound(failure)
-
-    def _convert_f(self, hyp: Hypothesis, w):
-        """The access path, then each branch's prefixes after the fork."""
+    def _witness_paths(self, w):
+        """The local paths to split, lazily and in order. B: its access path.
+        C: the entry path, then it followed by the cycle 2, 4, 8, ... times.
+        F: the access path, then each branch's prefixes after the fork."""
+        if w.kind == "B":
+            return (tuple(w.access_path),)
+        if w.kind == "C":
+            entry, cycle = tuple(w.entry_path), tuple(w.cycle_path)
+            cap = max(2 * (len(self.q) + len(self.supports)), 2)
+            return chain((entry,), (entry + cycle * 2**i for i in range(1, cap.bit_length())))
         prefix = tuple(w.access_path)
         branches = (((w.action, w.p1),) + tuple(w.path1), ((w.action, w.p2),) + tuple(w.path2))
-        paths = chain((prefix,), (prefix + b[:ell] for b in branches for ell in range(1, len(b) + 1)))
-        return self._first_split(hyp, paths, "fork witness produced no splittable prefix")
+        return chain((prefix,), (prefix + b[:ell] for b in branches for ell in range(1, len(b) + 1)))
 
-    def _convert_c(self, hyp: Hypothesis, w):
-        """The entry path, then it followed by the cycle 2, 4, 8, ... times."""
-        entry, cycle = tuple(w.entry_path), tuple(w.cycle_path)
-        cap = max(2 * (len(self.q) + len(self.supports)), 2)
-        paths = chain((entry,), (entry + cycle * 2**i for i in range(1, cap.bit_length())))
-        return self._first_split(hyp, paths, "cycle witness stayed consistent past the iteration cap")
+    def _first_split(self, hyp: Hypothesis, paths):
+        """The target instance of the first nonempty letter path in `paths`
+        whose walked end is not trace-equivalent to its support
+        concatenation, by a test anchored at the path's last process; None
+        when no path splits."""
+        for letters in paths:
+            if not letters:
+                continue
+            words = self._walk(hyp, letters)
+            if words is None:
+                raise LearnerBug("path to split leaves the hypothesis")
+            t = self._distinguishing_test(words[-1], self._sigma(words, letters), letters[-1][1])
+            if t is not None:
+                return self.path_binary_search(words, letters, t)
+        return None
 
-    def _convert_b(self, hyp: Hypothesis, w):
+    def _b_chunk_walk(self, hyp: Hypothesis, w):
+        """Walk p from the blocked node u along the chunks of u's first
+        passing test, one p-event each, and bisect where the answers flip."""
         p = w.process
         prefix = tuple(w.access_path)
-        if prefix:
-            inst = self._try_split_path(hyp, prefix, p)
-            if inst is not None:
-                return inst
         words = self._walk(hyp, prefix)
         u, sigma = words[-1], self._sigma(words, prefix)
         # Not None: the blocked node is not fin, so `build_hypothesis` gave
         # it dom(min_action(t_pass)) through `node_domain`, which reads this
         # same test. That domain holds p, as a p-path reaches the node, so
-        # p's first event in t_pass is its minimal one and the chunks below
-        # partition t_pass in dependence order: suffix_words[0] ~ t_pass.
+        # p's first event in t_pass is its minimal one, and each step
+        # decomposition below peels one p-event's chunk: tails[i] is t_pass
+        # from p's i-th event on, and letters[i] that event's action at p.
         t_pass = self.passing_test(u)
-        chunks = self._p_chunks(t_pass, p)
-        suffix_words = [tuple(chain.from_iterable(chunks[i:])) for i in range(len(chunks) + 1)]
-        # each chunk is co-prime, so its minimal action is defined
-        letters = [(traces.min_action(self.alpha, chunk), p) for chunk in chunks]
+        tails, letters = [t_pass], []
+        while tails[-1]:
+            dec = traces.step_decomposition(self.alpha, tails[-1], p)
+            letters.append((dec.head, p))
+            tails.append(dec.tail)
         walked_words = [hyp.word_of[x] for x in walk(hyp.negotiation, hyp.id_of[u], letters)]
         hi = len(walked_words) - 1
         walked_letters = letters[:hi]
-        if hi < len(chunks):  # the walk stopped at a boundary
-            if self.member(walked_words[-1], suffix_words[hi]):
-                return AbsentTransE(walked_words[-1], self.canon(suffix_words[hi]))
+        if hi < len(letters):  # the walk stopped at a boundary
+            if self.member(walked_words[-1], tails[hi]):
+                return AbsentTransE(walked_words[-1], self.canon(tails[hi]))
 
             def g(i):  # flip scan over the walked-node words
-                return self.member(walked_words[i], suffix_words[i])
+                return self.member(walked_words[i], tails[i])
         else:
-            inst = self._try_split_path(hyp, prefix + tuple(walked_letters), p)
+            inst = self._first_split(hyp, (prefix + tuple(walked_letters),))
             if inst is not None:
                 return inst
             walk_supports = self._support_seq(walked_words, walked_letters)
 
             def g(i):  # flip scan over sigma-prefixed hybrid words
-                return self.member(sigma, *walk_supports[:i], suffix_words[i])
+                return self.member(sigma, *walk_supports[:i], tails[i])
 
         # No endpoint check: g(0) holds and g(hi) fails on every hypothesis.
         # g(0): with a boundary, it is u.t_pass in L. With a complete walk,
-        # either the prefix is empty and sigma = u = (), or the split above
-        # returned None while u passes t_pass in T, which forces sigma.t_pass
-        # in L. g(hi): with a boundary, it is the AbsentTransE test above.
-        # With a complete walk, the second split returned None with () in T,
-        # so sigma with all walk supports is in L exactly when the walk's end
-        # word is. The end is reached from the blocked node by a p-path, so
-        # it is not fin, and its word is not the accepted one.
+        # either the prefix is empty and sigma = u = (), or the access-path
+        # split returned None while u passes t_pass in T, which forces
+        # sigma.t_pass in L. g(hi): with a boundary, it is the AbsentTransE
+        # test above. With a complete walk, the second split returned None
+        # with () in T, so sigma with all walk supports is in L exactly when
+        # the walk's end word is. The end is reached from the blocked node by
+        # a p-path, so it is not fin, and its word is not the accepted one.
         return self._b_flip_case(hyp, prefix, walked_words, walked_letters,
-                                 suffix_words, p, flip_index(g, 0, hi, True))
+                                 tails, p, flip_index(g, 0, hi, True))
 
-    def _p_chunks(self, t, p):
-        """Decompose a co-prime test with p minimal into chunks anchored at
-        p's events: chunk i is the upward closure of the i-th p-event minus
-        the closure of the next one."""
-        positions = [i for i, a in enumerate(t) if p in self.alpha.dom_set(a)]
-        closures = [set(traces.upward_closure_indices(self.alpha, t, e)) for e in positions]
-        closures.append(set())
-        chunks = []
-        for i in range(len(positions)):
-            keep = closures[i] - closures[i + 1]
-            chunks.append(tuple(t[j] for j in range(len(t)) if j in keep))
-        return chunks
-
-    def _b_flip_case(self, hyp, prefix, walked_words, walked_letters, suffix_words, p, i):
+    def _b_flip_case(self, hyp, prefix, walked_words, walked_letters, tails, p, i):
         """Resolve a flip between positions i and i+1 of the chunk walk into
         a Target instance (possibly via the suffix-exchange argument)."""
-        if not self.member(walked_words[i], suffix_words[i]):
+        if not self.member(walked_words[i], tails[i]):
             # letters is nonempty: at i = 0 this is u.t_pass, which is in L
-            letters, r = prefix + tuple(walked_letters[:i]), suffix_words[i]
-        elif self.member(walked_words[i + 1], suffix_words[i + 1]):
-            letters, r = prefix + tuple(walked_letters[: i + 1]), suffix_words[i + 1]
+            letters, r = prefix + tuple(walked_letters[:i]), tails[i]
+        elif self.member(walked_words[i + 1], tails[i + 1]):
+            letters, r = prefix + tuple(walked_letters[: i + 1]), tails[i + 1]
         else:
-            r = suffix_words[i + 1]
+            r = tails[i + 1]
             if not r:
-                raise NoRepairFound("suffix-exchange case degenerated to an empty test")
+                raise LearnerBug("suffix-exchange case degenerated to an empty test")
             a_next = walked_letters[i][0]
             s = self.supports[(walked_words[i], a_next, p)]
             if not self.member(walked_words[i], s, r):
-                raise NoRepairFound("exchanged suffix failed to verify")
+                raise LearnerBug("exchanged suffix failed to verify")
             return TargetInstance(walked_words[i], a_next, p, walked_words[i + 1], self.canon(r))
         return self.path_binary_search(self._walk(hyp, letters), letters, self.canon(r))
 

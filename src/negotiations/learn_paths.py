@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import traces
-from .errors import InvariantViolation, LearnerBug, NoSplit, Unclassifiable
+from .errors import InvariantViolation, LearnerBug, NoSplit
 from .learner import Hypothesis, Learner, flip_index
 from .model import Negotiation
 from .teacher import POSITIVE, Teacher
@@ -73,9 +73,7 @@ class PathLearner(Learner):
             proj = traces.projection(self.alpha, w, p)
             if not self.member(proj):
                 return Neq(p, tuple(w), ())
-        raise Unclassifiable(
-            "negative counterexample with all projections accepted"
-        )
+        raise LearnerBug("negative counterexample with all projections accepted")
 
     def _classify_positive(self, hyp: Hypothesis, w):
         pre = traces.max_executable_prefix(hyp.negotiation, w)
@@ -95,13 +93,13 @@ class PathLearner(Learner):
         u_p, u_q = hyp.word_of[nodes[p]], hyp.word_of[nodes[q]]
         t = self.separating_test(u_p, u_q)
         if t is None:
-            raise Unclassifiable(f"Uniqueness broken: {u_p} vs {u_q} agree on all tests")
+            raise LearnerBug(f"Uniqueness broken: {u_p} vs {u_q} agree on all tests")
         v = pre.prefix
         if self.member(traces.projection(self.alpha, v, p) + t) != self.member(u_p + t):
             return Neq(p, v, t)
         if self.member(traces.projection(self.alpha, v, q) + t) != self.member(u_q + t):
             return Neq(q, v, t)
-        raise Unclassifiable("both scattered projections match their hypothesis nodes")
+        raise LearnerBug("both scattered projections match their hypothesis nodes")
 
     # -- state extension -------------------------------------------------------
 
@@ -127,7 +125,7 @@ class PathLearner(Learner):
         proj = traces.projection(self.alpha, v, p)
         nodes = self._walk(hyp, proj)
         if nodes is None:
-            raise Unclassifiable(f"projection {proj} leaves the hypothesis")
+            raise LearnerBug(f"projection {proj} leaves the hypothesis")
 
         def g(i):
             return self.member(nodes[i] + proj[i:] + pi)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import traces
-from .errors import InvariantViolation, LearnerBug, Unclassifiable
+from .errors import InvariantViolation, LearnerBug
 from .model import Negotiation, empty_negotiation, validate, walk
 from .teacher import POSITIVE, Teacher
 
@@ -173,7 +173,7 @@ class Learner:
         for p in self.alpha.processes:
             if pre.end.node_of(p) != hyp.negotiation.fin:
                 return p
-        raise Unclassifiable("positive counterexample accepted by the hypothesis")
+        raise LearnerBug("positive counterexample accepted by the hypothesis")
 
     def stuck_action(self, pre):
         """Least minimal action of the remainder the hypothesis cannot fire,

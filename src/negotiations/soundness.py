@@ -13,7 +13,7 @@ witnesses; each check is the other's cross-oracle in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .model import (
     DEFAULT_STATE_BUDGET,
@@ -55,8 +55,19 @@ def is_sound_semantic(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> Sem
 # Pattern witnesses
 
 
+class _Witness:
+    def to_json(self):
+        """The kind, then each field in declaration order; names stay as
+        they are and local paths become lists of a@p strings."""
+        out = {"kind": self.kind}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = v if isinstance(v, str) else [f"{a}@{p}" for a, p in v]
+        return out
+
+
 @dataclass
-class FWitness:
+class FWitness(_Witness):
     """Fork on `action` at `fork_node` from which p1 and p2 can reach, by
     node-disjoint local paths, two distinct nodes both containing them.
     Each path ends at the first node on it that holds both processes."""
@@ -71,21 +82,9 @@ class FWitness:
 
     kind = "F"
 
-    def to_json(self):
-        return {
-            "kind": "F",
-            "fork_node": self.fork_node,
-            "action": self.action,
-            "p1": self.p1,
-            "p2": self.p2,
-            "path1": [f"{a}@{p}" for a, p in self.path1],
-            "path2": [f"{a}@{p}" for a, p in self.path2],
-            "access_path": [f"{a}@{p}" for a, p in self.access_path],
-        }
-
 
 @dataclass
-class CWitness:
+class CWitness(_Witness):
     """Reachable closed local walk with no node on it dominating the
     processes occurring on it. `find_pattern_C` walks through every node of
     an undominated strongly connected set, so the walk need not be a simple
@@ -96,16 +95,9 @@ class CWitness:
 
     kind = "C"
 
-    def to_json(self):
-        return {
-            "kind": "C",
-            "entry_path": [f"{a}@{p}" for a, p in self.entry_path],
-            "cycle_path": [f"{a}@{p}" for a, p in self.cycle_path],
-        }
-
 
 @dataclass
-class BWitness:
+class BWitness(_Witness):
     """Node reachable from init by a p-path but with no p-path to fin."""
 
     process: str
@@ -113,14 +105,6 @@ class BWitness:
     blocked_node: str
 
     kind = "B"
-
-    def to_json(self):
-        return {
-            "kind": "B",
-            "process": self.process,
-            "access_path": [f"{a}@{p}" for a, p in self.access_path],
-            "blocked_node": self.blocked_node,
-        }
 
 
 def _edges(n: Negotiation, p=None):

@@ -1,6 +1,8 @@
 import os
+import random
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -14,9 +16,15 @@ from negotiations.automata import (
     neg_equiv,
     negotiation_from_dfa,
     paths_dfa,
+    trim,
 )
-from negotiations.errors import AlphabetMismatch, FinalHasOutgoing, NotDomComplete
-from negotiations.model import Negotiation, member_exec, validate
+from negotiations.errors import (
+    AlphabetMismatch,
+    FinalHasOutgoing,
+    MultipleFinals,
+    NotDomComplete,
+)
+from negotiations.model import DistributedAlphabet, Negotiation, member_exec, validate
 
 import fixtures
 import oracles
@@ -110,6 +118,40 @@ class TestMinimize:
         dfa = minimize(paths_dfa(n))
         assert dfa.finals == frozenset() and len(dfa.states) == 1
 
+    def test_empty_language_with_a_self_loop_on_init(self):
+        """Trimming keeps the initial state and its self-loop even when no
+        final state is reachable; the minimal form is the one-state DFA."""
+        dfa = PartialDfa(
+            alphabet=fixtures.fork().alphabet,
+            states=("s0", "s1"),
+            delta={("s0", ("x", "p")): "s0", ("s1", ("y", "q")): "s1"},
+            init="s0",
+            finals=frozenset({"s1"}),
+        )
+        assert minimize(dfa) == PartialDfa(dfa.alphabet, ("s0",), {}, "s0", frozenset())
+
+    def test_random_partial_dfas(self):
+        """On random untrimmed partial DFAs the minimal form accepts the
+        same words up to length 4, is its own minimal form, and has every
+        state reachable and co-reachable."""
+        alpha = DistributedAlphabet(("p", "q"), ("a", "b"), {"a": ("p", "q"), "b": ("p",)})
+        letters = alpha.local_letters()
+        words = [w for k in range(5) for w in product(letters, repeat=k)]
+        rng = random.Random(3)
+        for _ in range(150):
+            states = tuple(f"x{i}" for i in range(rng.randint(1, 6)))
+            delta = {(s, l): rng.choice(states) for s in states for l in letters
+                     if rng.random() < 0.5}
+            finals = frozenset(s for s in states if rng.random() < 0.4)
+            dfa = PartialDfa(alpha, states, delta, rng.choice(states), finals)
+            small = minimize(dfa)
+            assert [small.accepts(w) for w in words] == [dfa.accepts(w) for w in words]
+            assert minimize(small) == small
+            if small.finals:
+                assert trim(small) == small
+            else:
+                assert small == PartialDfa(alpha, ("s0",), {}, "s0", frozenset())
+
     def test_nerode_inequivalence_of_states(self):
         """No two minimized states share all residuals up to length 18: a
         BFS over state pairs (None where a state has no move) finds, within
@@ -192,6 +234,34 @@ class TestDomComplete:
                                  capture_output=True, text=True).stdout
             assert out == "state 's0': a@p1 present but a@p0 missing\n", (seed, out)
 
+    def test_actions_with_differing_domains(self):
+        alpha = fixtures.fork().alphabet
+        dfa = PartialDfa(
+            alphabet=alpha,
+            states=("s0", "s1"),
+            delta={("s0", ("c", "p")): "s1", ("s0", ("c", "q")): "s1", ("s0", ("x", "p")): "s1"},
+            init="s0",
+            finals=frozenset({"s1"}),
+        )
+        assert is_dom_complete(dfa) == (
+            False, ["state 's0': outgoing actions ['c', 'x'] have differing domains"])
+
+
+class TestPartialDfa:
+    @pytest.mark.parametrize("change,message", [
+        ({"init": "s9"}, "initial state not declared"),
+        ({"finals": {"s1", "s9"}}, "final states not declared"),
+        ({"delta": {("s9", ("c", "p")): "s1"}}, "references unknown state"),
+        ({"delta": {("s0", ("c", "p")): "s9"}}, "references unknown state"),
+        ({"delta": {("s0", ("zz", "p")): "s1"}}, "illegal letter zz@p"),
+        ({"delta": {("s0", ("x", "q")): "s1"}}, "illegal letter x@q"),
+    ])
+    def test_constructor_checks(self, change, message):
+        fields = dict(alphabet=fixtures.fork().alphabet, states=("s0", "s1"),
+                      delta={("s0", ("c", "p")): "s1"}, init="s0", finals={"s1"})
+        with pytest.raises(ValueError, match=message):
+            PartialDfa(**{**fields, **change})
+
 
 class TestNegotiationFromDfa:
     def test_fork_round_trip(self):
@@ -221,6 +291,28 @@ class TestNegotiationFromDfa:
             finals=frozenset({"s1"}),
         )
         with pytest.raises(FinalHasOutgoing):
+            negotiation_from_dfa(dfa)
+
+    def test_two_finals(self):
+        dfa = PartialDfa(
+            alphabet=fixtures.fork().alphabet,
+            states=("s0", "s1", "s2"),
+            delta={("s0", ("c", "p")): "s1", ("s0", ("c", "q")): "s1"},
+            init="s0",
+            finals=frozenset({"s1", "s2"}),
+        )
+        with pytest.raises(MultipleFinals, match=r"got \['s1', 's2'\]"):
+            negotiation_from_dfa(dfa)
+
+    def test_non_final_state_with_no_letters(self):
+        dfa = PartialDfa(
+            alphabet=fixtures.fork().alphabet,
+            states=("s0", "s1", "s2"),
+            delta={("s0", ("c", "p")): "s1", ("s0", ("c", "q")): "s1"},
+            init="s0",
+            finals=frozenset({"s1"}),
+        )
+        with pytest.raises(NotDomComplete, match="state 's2' has no outgoing letters"):
             negotiation_from_dfa(dfa)
 
     def test_not_dom_complete(self):

@@ -391,16 +391,17 @@ class TestMakeSoundConversions:
         assert repairs >= 1
 
     def test_f_witness_converts_to_target(self):
-        """A diverging join (F pattern) converts into a query-verified
-        Target. Mechanism test: the seeded state is deliberately out of
-        equilibrium, so only the conversion's output contract is asserted."""
+        """A diverging join (F pattern) splits one of its paths into a
+        query-verified Target. Mechanism test: the seeded state is
+        deliberately out of equilibrium, so only the conversion's output
+        contract is asserted."""
         teacher, learner, hyp = _fork_learner_state(split_join=True)
         from negotiations.soundness import find_any_pattern, is_sound_semantic
 
         assert not is_sound_semantic(hyp.negotiation).sound
         witness = find_any_pattern(hyp.negotiation)
         assert witness is not None and witness.kind == "F"
-        inst = learner._convert_f(hyp, witness)
+        inst = learner._first_split(hyp, learner._witness_paths(witness))
         assert isinstance(inst, TargetInstance)
         s = learner.supports[(inst.u_prev, inst.action, inst.process)]
         assert learner.member(inst.u_prev, s, inst.r) != learner.member(inst.u_next, inst.r)
@@ -477,7 +478,7 @@ class TestMakeSoundConversions:
         from negotiations.soundness import verify_witness
 
         assert verify_witness(neg, witness)
-        inst = learner._convert_c(hyp, witness)
+        inst = learner._first_split(hyp, learner._witness_paths(witness))
         assert isinstance(inst, TargetInstance)
         s = learner.supports[(inst.u_prev, inst.action, inst.process)]
         assert learner.member(inst.u_prev, s, inst.r) != learner.member(inst.u_next, inst.r)

@@ -132,6 +132,30 @@ class TestEnabledStep:
             step(n, c, "b")
 
 
+class TestConstruction:
+    """The construction checks a JSON document cannot reach, since its
+    action and node names are object keys (`test_toolkit` runs the others
+    through `parse`)."""
+
+    @pytest.mark.parametrize("actions,dom,message", [
+        (("c", "c"), {"c": ("p",)}, "duplicate action identifiers"),
+        (("c", "x"), {"c": ("p",)}, "action 'x' has no domain"),
+        (("c",), {"c": ("p",), "x": ("p",)}, "dom mentions unknown actions"),
+    ])
+    def test_alphabet(self, actions, dom, message):
+        with pytest.raises(ValueError, match=message):
+            DistributedAlphabet(("p", "q"), actions, dom)
+
+    @pytest.mark.parametrize("nodes,message", [
+        (("n0", "n1", "n2", "n3", "nf", "n1"), "duplicate node identifiers"),
+        (("n0", "n1", "n2", "n3", "nf", "n4"), "node 'n4' has no domain"),
+    ])
+    def test_negotiation(self, nodes, message):
+        f = fixtures.fork()
+        with pytest.raises(ValueError, match=message):
+            Negotiation(f.alphabet, nodes, f.dnode, f.delta, f.init, f.fin)
+
+
 class TestImmutable:
     def test_fields_and_mappings_are_read_only(self):
         n = fixtures.fork()

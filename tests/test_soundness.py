@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import islice
 
@@ -344,6 +345,44 @@ class TestPatternC:
         assert len(found) >= 20
         assert [i for i, n, w in found if not verify_witness(n, w)] == []
 
+    def test_undominated_set_inside_a_dominated_one(self):
+        """{D, A, B} is strongly connected and dominated by the full node D;
+        without D, A {p,q} and B {p,r} still form a cycle over all three
+        processes that neither dominates, so the search finds it one level
+        down."""
+        full = ("p", "q", "r")
+        alpha = DistributedAlphabet(
+            processes=full,
+            actions=("i", "d", "a", "b", "e", "f"),
+            dom={"i": full, "d": full, "a": ("p", "q"), "b": ("p", "r"), "e": ("p", "q"),
+                 "f": full},
+        )
+        n = Negotiation(
+            alphabet=alpha,
+            nodes=("I", "D", "A", "B", "F"),
+            dnode={"I": full, "D": full, "A": ("p", "q"), "B": ("p", "r"), "F": full},
+            delta={
+                **{("I", "i", x): "D" for x in full},
+                ("D", "d", "p"): "A",
+                ("D", "d", "q"): "A",
+                ("D", "d", "r"): "B",
+                ("A", "a", "p"): "B",
+                ("A", "a", "q"): "A",
+                ("B", "b", "p"): "A",
+                ("B", "b", "r"): "B",
+                ("A", "e", "p"): "D",
+                ("A", "e", "q"): "D",
+                **{("D", "f", x): "F" for x in full},
+            },
+            init="I",
+            fin="F",
+        )
+        assert validate(n) == []
+        w = find_pattern_C(n)
+        assert w == CWitness((("i", "p"), ("d", "p")), (("a", "p"), ("b", "p")))
+        assert verify_witness(n, w)
+        assert not is_sound_semantic(n).sound
+
     def test_compound_only_cycle(self):
         # no simple cycle is undominated, so the witness walks the whole set
         n = compound_cycle_fixture()
@@ -364,6 +403,27 @@ class TestWitnessReplay:
         assert verify_witness(n, CWitness((("c", "p"),), (("c", "p"),))) is False
         assert verify_witness(n, BWitness("p", (("x", "p"),), "n3")) is False
         assert verify_witness(n, FWitness("n0", "c", "p", "q", (("y", "p"),), (), ())) is False
+
+
+    def test_mutated_witnesses_are_false(self):
+        """Each of the fixtures' witnesses holds, and each mutation below
+        breaks one condition of its replay."""
+        b = find_any_pattern(fixtures.fork_unsound())
+        c = find_any_pattern(undominated_cycle_fixture())
+        f = find_any_pattern(fixtures.fork_split())
+        cases = [
+            (fixtures.fork_unsound(), b, dataclasses.replace(b, access_path=(("c", "q"),))),
+            (undominated_cycle_fixture(), c, dataclasses.replace(c, cycle_path=())),
+            (fixtures.fork_split(), f, dataclasses.replace(f, access_path=(("c", "p"),))),
+            (fixtures.fork_split(), f, dataclasses.replace(f, fork_node="n1")),
+            (fixtures.fork_split(), f, dataclasses.replace(f, action="x")),
+            (fixtures.fork_split(), f, dataclasses.replace(f, path1=(("x", "q"),))),
+            (fixtures.fork_split(), f, dataclasses.replace(f, path2=(("y", "p"),))),
+        ]
+        for n, good, bad in cases:
+            assert (good.kind, verify_witness(n, good)) == (bad.kind, True)
+            assert verify_witness(n, bad) is False, bad
+        assert verify_witness(fixtures.fork_split(), None) is False
 
 
 class TestPatternF:

@@ -23,6 +23,7 @@ from negotiations.soundness import is_sound_semantic
 from negotiations.teacher import Teacher
 
 import fixtures
+from test_soundness import undominated_cycle_fixture
 
 
 class TestGenerate:
@@ -130,6 +131,33 @@ class TestJson:
         path = tmp_path / "bad.json"
         path.write_text(text, encoding="utf-8")
         assert cli.main(["dot", str(path)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda o: o["processes"].append("p"), "duplicate process identifiers"),
+        (lambda o: o["processes"].append("c"), "process and action namespaces overlap"),
+        (lambda o: o["actions"].update(x=[]), "action 'x' has an empty domain"),
+        (lambda o: o["actions"]["x"].append("z"), r"dom\('x'\) mentions unknown processes"),
+        (lambda o: o.update(init="n9"), "init/fin must be declared nodes"),
+        (lambda o: o.update(fin="n9"), "init/fin must be declared nodes"),
+        (lambda o: o["nodes"].update(n1=[]), "node 'n1' has an empty domain"),
+        (lambda o: o["nodes"]["n1"].append("z"), r"dnode\('n1'\) mentions unknown processes"),
+        (lambda o: o["transitions"][0].__setitem__(0, "n9"), "references unknown node"),
+        (lambda o: o["transitions"][0].__setitem__(3, "n9"), "references unknown node"),
+        (lambda o: o["transitions"][0].__setitem__(1, "zz"), "transition on unknown action 'zz'"),
+        (lambda o: o["transitions"][0].__setitem__(2, "z"), "transition for unknown process 'z'"),
+    ])
+    def test_construction_check_is_a_parse_error(self, edit, message, tmp_path, capsys):
+        """What `DistributedAlphabet` and `Negotiation` reject on
+        construction, `parse` reports as a ParseError, and `neg` exits 2."""
+        obj = json.loads(serialize(fixtures.fork()))
+        edit(obj)
+        text = json.dumps(obj)
+        with pytest.raises(ParseError, match=message):
+            parse(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["sound", str(path)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("where,message", [
@@ -243,6 +271,25 @@ class TestCli:
         witness = json.loads(out)
         assert witness["configuration"] == {"p": "n3", "q": "n3"}
         assert witness["pattern"]["kind"] in ("B", "C", "F")
+
+    @pytest.mark.parametrize("make,expected", [
+        (fixtures.fork_unsound,
+         '{"configuration":{"p":"n3","q":"n3"},"pattern":{"kind":"B","process":"p",'
+         '"access_path":[],"blocked_node":"n0"}}'),
+        (fixtures.fork_split,
+         '{"configuration":{"p":"n3a","q":"n3b"},"pattern":{"kind":"F","fork_node":"n0",'
+         '"action":"c","p1":"p","p2":"q","path1":["x@p"],"path2":["y@q"],"access_path":[]}}'),
+        (undominated_cycle_fixture,
+         '{"configuration":{"p":"nf","q":"nf","r":"B"},"pattern":{"kind":"C",'
+         '"entry_path":["s@p"],"cycle_path":["g@p","h@p"]}}'),
+    ], ids=["B", "F", "C"])
+    def test_sound_patterns_output(self, make, expected, tmp_path, capsys):
+        """`neg sound --patterns` prints one witness of each kind exactly:
+        the kind, then the witness fields in order, paths as a@p."""
+        path = tmp_path / "unsound.json"
+        path.write_text(serialize(make()), encoding="utf-8")
+        assert cli.main(["sound", str(path), "--patterns"]) == 1
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_equiv(self, fork_file, tmp_path):
         renamed = tmp_path / "renamed.json"
