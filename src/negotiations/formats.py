@@ -11,23 +11,18 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError
-from .model import DistributedAlphabet, Negotiation
+from .model import DistributedAlphabet, Negotiation, local_edges
 
 
 def serialize(n: Negotiation) -> str:
+    edges = local_edges(n)
     obj = {
         "processes": list(n.alphabet.processes),
         "actions": {a: list(n.alphabet.dom[a]) for a in n.alphabet.actions},
         "nodes": {m: list(n.dnode[m]) for m in n.nodes},
         "init": n.init,
         "fin": n.fin,
-        "transitions": [
-            [m, a, p, n.delta[(m, a, p)]]
-            for m in n.nodes
-            for a in n.alphabet.actions
-            for p in n.alphabet.processes  # not dom(a): keep what `validate` rejects
-            if (m, a, p) in n.delta
-        ],
+        "transitions": [[m, a, p, t] for m in n.nodes for (a, p), t in edges.get(m, ())],
     }
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
@@ -164,13 +159,9 @@ def export_dot(n: Negotiation) -> str:
             shape = ' color=red'
         label = " | ".join(_dot_text(x, "{}|<>") for x in (m, dom))  # record syntax
         lines.append(f'  "{_dot_text(m)}" [label="{label}"{shape}];')
+    edges = local_edges(n)
     for m in n.nodes:
-        for a in n.alphabet.actions:
-            for p in n.alphabet.processes:
-                t = n.delta.get((m, a, p))
-                if t is not None:
-                    lines.append(
-                        f'  "{_dot_text(m)}" -> "{_dot_text(t)}" [label="{_dot_text(a + "@" + p)}"];'
-                    )
+        for (a, p), t in edges.get(m, ()):
+            lines.append(f'  "{_dot_text(m)}" -> "{_dot_text(t)}" [label="{_dot_text(a + "@" + p)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -133,8 +133,6 @@ class ExecLearner(Learner):
         hypothesis path; r is co-prime with the last letter's process minimal,
         or empty (then Closure forbids a flip at the last edge)."""
         k = len(letters)
-        if k == 0:
-            raise NoSplit("empty path in binary search")
         supports = self._support_seq(words, letters)
         tails = [None] * (k + 1)
         tails[k] = tuple(r)
@@ -213,33 +211,25 @@ class ExecLearner(Learner):
         raise LearnerBug("stuck action whose processes all sit at nodes with it out")
 
     def _descend(self, hyp: Hypothesis, pre, v, u, t, anchor):
-        """Backwards descent over the anchor's replayed path, the hypothesis
-        walk along its projection of the executed prefix.
+        """Backwards descent over the anchor's replayed path: `words`, the
+        hypothesis walk along its projection `letters` of the executed prefix.
 
-        Invariants per level: the anchor sits at node `u` after replaying the
-        executable part of `v`; while `node_rejects` holds the node fails the
-        test the trace passes (u.t not in L, v.t in L), and afterwards it is
-        the other way around. Each level drops the anchor's last event from
-        `v`, so the loop ends.
+        `v` is the prefix followed by `v2`, and `v2` holds no anchor event:
+        the stuck event is minimal in the remainder, so no remainder event
+        before it touches the anchor, and every later one that does lies in
+        its upward closure. Each level drops the anchor's last event from
+        `v`, so level i handles letter i and the anchor sits at
+        `u` = `words[i + 1]`. While `node_rejects` holds, that node fails the
+        test the trace passes (u.t not in L, v.t in L); afterwards it is the
+        other way around.
         """
         node_rejects = True
         letters = traces.projection(self.alpha, pre.prefix, anchor)
         words = self._walk(hyp, letters)
-        stack = list(zip(words, letters, words[1:]))
         v = tuple(v)
-        while True:
-            e = max(
-                (i for i, a in enumerate(v) if anchor in self.alpha.dom_set(a)),
-                default=None,
-            )
-            if e is None:
-                raise LearnerBug("anchor has no event left in the trace")
-            c = v[e]
-            if not stack:
-                raise LearnerBug("replayed path exhausted before the trace")
-            u_prev, (action, _), dst = stack.pop()
-            if action != c or dst != u:
-                raise LearnerBug("replayed path does not match the trace")
+        for i in range(len(letters) - 1, -1, -1):
+            u_prev, (c, _) = words[i], letters[i]
+            e = max(j for j, a in enumerate(v) if anchor in self.alpha.dom_set(a))
             v_prev, _ = traces.upward_closure_split(self.alpha, v, e)
             s = self.supports[(u_prev, c, anchor)]
             check1 = self.member(u_prev, s, t)
@@ -272,6 +262,7 @@ class ExecLearner(Learner):
                 v, u, t = v_prev, u_prev, self.canon(s + t)
                 continue
             raise LearnerBug("suffix-exchange property violated on the trace-rejecting side")
+        raise LearnerBug("descent passed the anchor's first event")
 
     # -- soundness repairs -------------------------------------------------------
 

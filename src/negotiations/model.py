@@ -24,6 +24,8 @@ paths or a first hit matter: `compute_I`, the product search, the pattern
 witnesses' access paths, the canonical renaming of minimal DFAs. `walk` is
 the one local walk: the nodes a sequence of a@p letters visits, which
 `run_local_path`, the witness replay and both learners' path replays read.
+`local_edges` is the one declared-order index of a node's a@p edges, which
+the pattern searches, their witness replay and the JSON/DOT writers read.
 """
 
 from __future__ import annotations
@@ -301,6 +303,19 @@ def path(parent, y) -> tuple:
         y, label = parent[y]
         labels.append(label)
     return tuple(reversed(labels))
+
+
+def local_edges(n: Negotiation, p=None) -> dict:
+    """Each node's local edges `((a, q), target)`, of process `p` only when
+    given, in declared action then process order; also those with q not in
+    dom(a), which `validate` rejects and `serialize` keeps."""
+    edges = {}
+    for (src, a, q), dst in n.delta.items():
+        if p is None or q == p:
+            edges.setdefault(src, []).append(((a, q), dst))
+    for outs in edges.values():
+        outs.sort(key=lambda e: (n.alphabet.action_index(e[0][0]), n.alphabet.proc_index(e[0][1])))
+    return edges
 
 
 def path_coverage_warnings(n: Negotiation) -> list:

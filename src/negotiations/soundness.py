@@ -21,6 +21,7 @@ from .model import (
     Negotiation,
     bfs,
     configuration_graph,
+    local_edges,
     path,
     reach,
     walk,
@@ -107,22 +108,10 @@ class BWitness(_Witness):
     kind = "B"
 
 
-def _edges(n: Negotiation, p=None):
-    """Labeled local edges (of process `p` only, when given) sorted for
-    deterministic traversal."""
-    order = {}
-    for (src, a, q), dst in n.delta.items():
-        if p is None or q == p:
-            order.setdefault(src, []).append(((a, q), dst))
-    for src in order:
-        order[src].sort(key=lambda e: (n.alphabet.action_index(e[0][0]), n.alphabet.proc_index(e[0][1])))
-    return order
-
-
 def find_pattern_B(n: Negotiation):
     """Per-process forward/backward reachability along p-edges."""
     for p in n.alphabet.processes:
-        edges = _edges(n, p)
+        edges = local_edges(n, p)
         fwd, _ = bfs(n.init, lambda s: edges.get(s, ()))
         rev = {}
         for src, outs in edges.items():
@@ -133,16 +122,6 @@ def find_pattern_B(n: Negotiation):
             if node not in coreach:
                 return BWitness(p, path(fwd, node), node)
     return None
-
-
-def _label_path(edges, node_seq):
-    """Realize a node sequence as a labeled local path over the `_edges`
-    index, picking the least label for every hop."""
-    labels = []
-    for s, t in zip(node_seq, node_seq[1:]):
-        hop = next(letter for letter, dst in edges[s] if dst == t)
-        labels.append(hop)
-    return tuple(labels)
 
 
 def _sccs(nodes, succ):
@@ -197,26 +176,28 @@ def _bad_scc(n: Negotiation, nodes, succ):
 
 
 def _closed_walk(n: Negotiation, comp, edges):
-    """A closed local path visiting every node of the strongly connected set
-    `comp`, anchored at its first node in declared order."""
+    """(anchor, letters) of a closed local path through every node of the
+    strongly connected set `comp`, from its first node in declared order;
+    each hop takes the first, so the least, letter `edges` lists for it."""
     comp_set = set(comp)
     ordered = [v for v in n.nodes if v in comp_set]
     anchor = ordered[0]
 
-    def moves(s):  # each hop labelled by the node it enters
-        return [(t, t) for _, t in edges.get(s, ()) if t in comp_set]
+    def moves(s):
+        return [(letter, t) for letter, t in edges.get(s, ()) if t in comp_set]
 
-    walk = [anchor]
+    if len(ordered) == 1:  # single node; must have a self-loop
+        return anchor, (moves(anchor)[0][0],)
+    cycle = []
     for b in ordered[1:] + [anchor]:
-        if b != anchor and b in walk:  # an earlier join passed it already
+        visited = walk(n, anchor, cycle)
+        if b != anchor and b in visited:  # an earlier join passed it already
             continue
-        parent, hit = bfs(walk[-1], moves, stop=lambda t: t == b)
+        parent, hit = bfs(visited[-1], moves, stop=lambda t: t == b)
         if hit is None:
             raise AssertionError("strongly connected set lost connectivity")
-        walk.extend(path(parent, b))
-    if len(walk) == 1:  # single node; must have a self-loop
-        walk = [anchor, anchor]
-    return walk
+        cycle += path(parent, b)
+    return anchor, tuple(cycle)
 
 
 def find_pattern_C(n: Negotiation):
@@ -226,14 +207,14 @@ def find_pattern_C(n: Negotiation):
     closed walk through every node of the undominated strongly connected
     set it returns. No budget applies.
     """
-    edges = _edges(n)
+    edges = local_edges(n)
     succ = {s: [t for _, t in outs] for s, outs in edges.items()}
     fwd, _ = bfs(n.init, lambda s: edges.get(s, ()))
     comp = _bad_scc(n, fwd, succ)
     if comp is None:
         return None
-    walk = _closed_walk(n, comp, edges)
-    return CWitness(path(fwd, walk[0]), _label_path(edges, walk))
+    anchor, cycle = _closed_walk(n, comp, edges)
+    return CWitness(path(fwd, anchor), cycle)
 
 
 def find_pattern_F(n: Negotiation):
@@ -252,9 +233,9 @@ def find_pattern_F(n: Negotiation):
 def _diverging_forks(n: Negotiation):
     """A witness at every reachable fork where F holds: fork nodes in BFS
     order, then actions, then process pairs in declared order."""
-    all_edges = _edges(n)
+    all_edges = local_edges(n)
     fwd, _ = bfs(n.init, lambda s: all_edges.get(s, ()))
-    p_edges = {p: _edges(n, p) for p in n.alphabet.processes}
+    p_edges = {p: local_edges(n, p) for p in n.alphabet.processes}
     for m in fwd:
         for a in n.out(m):
             dom = n.alphabet.dom[a]
@@ -316,7 +297,7 @@ def verify_witness(n: Negotiation, w) -> bool:
         seq = walk(n, n.init, w.access_path)
         if len(seq) <= len(w.access_path) or seq[-1] != w.blocked_node:
             return False
-        edges = _edges(n, w.process)
+        edges = local_edges(n, w.process)
         return n.fin not in bfs(w.blocked_node, lambda s: edges.get(s, ()))[0]
     if isinstance(w, CWitness):
         seq = walk(n, n.init, w.entry_path)

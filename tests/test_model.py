@@ -87,6 +87,11 @@ class TestValidate:
         assert validate(with_dead) == []
         assert any("dead" in w for w in path_coverage_warnings(with_dead))
 
+    def test_init_is_not_fin(self):
+        n = fixtures.ping()
+        same = Negotiation(n.alphabet, n.nodes, n.dnode, n.delta, n.init, n.init)
+        assert "init and fin must be distinct nodes" in validate(same)
+
     def test_fixtures_clean(self):
         for fix in (fixtures.fork(), fixtures.loop2(), fixtures.mod15(), fixtures.editorial()):
             assert validate(fix) == []
@@ -121,6 +126,11 @@ class TestEnabledStep:
         n = fixtures.ping()
         with pytest.raises(NotEnabled):
             step(n, n.initial_configuration(), "b")
+
+    def test_step_unknown_action(self):
+        n = fixtures.ping()
+        with pytest.raises(UnknownAction, match="'zz'"):
+            step(n, n.initial_configuration(), "zz")
 
     def test_step_wants_the_whole_node_domain(self):
         """step fires only what enabled fires: b leaves m for q alone, but
@@ -392,6 +402,10 @@ class TestComputeI:
     def test_not_found(self):
         with pytest.raises(ConfigurationNotFound):
             compute_I(fixtures.fork_unsound(), "nf")
+
+    def test_unknown_node(self):
+        with pytest.raises(ValueError, match="unknown node 'zz'"):
+            compute_I(fixtures.ping(), "zz")
 
     def test_tie_break_independence(self):
         for fix in (fixtures.fork(), fixtures.editorial(), fixtures.loop2()):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from negotiations import cli, formats, soundness
+from negotiations.automata import minimize_negotiation
 from negotiations.errors import ParseError, StateBudgetExceeded
 from negotiations.formats import (
     export_dot,
@@ -381,20 +382,44 @@ class TestCli:
         code, _, err = run_cli("validate", "/nonexistent/x.json")
         assert code == 2
 
-    @pytest.mark.parametrize("command", [
-        ["sound", "{f}"], ["equiv", "{f}", "{f}"], ["minimize", "{f}", "-o", "{o}"],
-        ["learn", "{f}", "--mode", "exec"],
-    ])
-    def test_budget_exceeded_is_undecided(self, command, fork_file, tmp_path, monkeypatch, capsys):
-        """A search out of budget is neither "true" (0) nor "false" (1)."""
-        def out_of_budget(n, budget=None):
-            raise StateBudgetExceeded("configuration graph exceeds 100 vertices")
+    @staticmethod
+    def out_of_budget(n, budget=None):
+        raise StateBudgetExceeded("configuration graph exceeds 100 vertices")
 
-        monkeypatch.setattr(soundness, "is_sound_semantic", out_of_budget)
-        argv = [arg.format(f=fork_file, o=tmp_path / "out.json") for arg in command]
+    @pytest.mark.parametrize("command", [
+        ["sound", "{f}"], ["equiv", "{f}", "{f}"], ["learn", "{f}", "--mode", "exec"],
+    ])
+    def test_budget_exceeded_is_undecided(self, command, fork_file, monkeypatch, capsys):
+        """A search out of budget is neither "true" (0) nor "false" (1)."""
+        monkeypatch.setattr(soundness, "is_sound_semantic", self.out_of_budget)
+        argv = [arg.format(f=fork_file) for arg in command]
         assert cli.main(argv) == cli.EXIT_UNDECIDED == 3
         err = capsys.readouterr().err
         assert err.startswith("undecided:") and "exceeds 100 vertices" in err
+
+    def test_minimize_searches_no_configurations(self, fork_file, tmp_path, monkeypatch):
+        """`minimize` decides soundness by the patterns, so a configuration
+        search that would run out of budget is never started."""
+        monkeypatch.setattr(soundness, "is_sound_semantic", self.out_of_budget)
+        out = tmp_path / "out.json"
+        assert cli.main(["minimize", fork_file, "-o", str(out)]) == cli.EXIT_OK
+        assert out.read_text(encoding="utf-8") == serialize(minimize_negotiation(fixtures.fork()))
+
+    def test_minimize_past_the_state_budget(self, tmp_path):
+        """A valid, sound 71-node target with more than 10^6 configurations:
+        `minimize` answers, where a configuration search runs out of budget."""
+        n = generate(GenParams(12, 200, 0.2, 0.9, seed=1))
+        assert len(n.nodes) == 71 and validate(n) == []
+        src, out = tmp_path / "big.json", tmp_path / "min.json"
+        src.write_text(serialize(n), encoding="utf-8")
+        assert cli.main(["minimize", str(src), "-o", str(out)]) == cli.EXIT_OK
+        assert out.read_text(encoding="utf-8") == serialize(minimize_negotiation(n))
+
+    def test_minimize_rejects_an_unsound_input(self, tmp_path, capsys):
+        path = tmp_path / "unsound.json"
+        path.write_text(serialize(fixtures.fork_split()), encoding="utf-8")
+        assert cli.main(["minimize", str(path), "-o", str(tmp_path / "out.json")]) == cli.EXIT_FALSE
+        assert "not sound" in capsys.readouterr().err and not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("first,second,verdict,decisions", [
         ("fork", "fork", "equivalent", 2),

@@ -197,6 +197,10 @@ class TestIsStep:
         assert not traces.is_step(FORK_ALPHA, ("c", "x", "d"), "c", "q")
         assert traces.is_step(FORK_ALPHA, ("c",), "c", "p")
 
+    def test_minimal_action_must_be_b(self):
+        # c is the only action of the trace involving r, but b is minimal
+        assert not traces.is_step(tiny_alpha(), ("b", "c"), "c", "r")
+
 
 class TestProjection:
     def test_fork(self):
