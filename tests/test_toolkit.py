@@ -388,6 +388,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", [
         ["sound", "{f}"], ["equiv", "{f}", "{f}"], ["learn", "{f}", "--mode", "exec"],
+        ["learn", "{f}", "--mode", "paths"],
     ])
     def test_budget_exceeded_is_undecided(self, command, fork_file, monkeypatch, capsys):
         """A search out of budget is neither "true" (0) nor "false" (1)."""
