@@ -94,12 +94,14 @@ class PathLearner(Learner):
         t = self.separating_test(u_p, u_q)
         if t is None:
             raise LearnerBug(f"Uniqueness broken: {u_p} vs {u_q} agree on all tests")
+        # w is in the target's language and b is minimal in the remainder,
+        # so v.b runs in the target: p and q sit at one target node after v,
+        # and proj_p(v)+t, proj_q(v)+t get the same answer. As t separates
+        # u_p from u_q, exactly one side differs from its node's answer.
         v = pre.prefix
         if self.member(traces.projection(self.alpha, v, p) + t) != self.member(u_p + t):
             return Neq(p, v, t)
-        if self.member(traces.projection(self.alpha, v, q) + t) != self.member(u_q + t):
-            return Neq(q, v, t)
-        raise LearnerBug("both scattered projections match their hypothesis nodes")
+        return Neq(q, v, t)
 
     # -- state extension -------------------------------------------------------
 
@@ -114,10 +116,6 @@ class PathLearner(Learner):
                 raise InvariantViolation(f"{b}@{p} already in out({u})")
             self.out[u].append(letter)
             self.add_test(traces.projection(self.alpha, rest, p))
-        for p in self.alpha.dom[b]:
-            cand = u + ((b, p),)
-            if self.find_rep(cand) is None:
-                self.add_state(cand)
         self.log.append({"event": "absent_trans", "action": b, "state": list(map(list, u)), "word": list(r)})
 
     def apply_neq(self, hyp: Hypothesis, inst: Neq):
@@ -135,23 +133,7 @@ class PathLearner(Learner):
             raise NoSplit(f"endpoints agree for {proj} + {pi}")
         i = flip_index(g, 0, len(proj), g_lo)
         self.add_test(proj[i + 1 :] + pi)
-        self.add_state(nodes[i] + (proj[i],))
         self.log.append({"event": "neq", "process": p, "split_index": i})
-
-    # -- invariants -------------------------------------------------------------
-
-    def verify_table(self):
-        for _, _, word in self.transitions():
-            if self.find_rep(word) is None:
-                raise InvariantViolation(f"Closure: {word} has no representative")
-        self.check_pref()
-        for u in self.q:
-            acts = {}
-            for (a, p) in self.out[u]:
-                acts.setdefault(a, set()).add(p)
-            for a, ps in acts.items():
-                if ps != self.alpha.dom_set(a):
-                    raise InvariantViolation(f"Domain: out({u}) has partial {a} letters {ps}")
 
     # -- round hooks --------------------------------------------------------------
 

@@ -5,11 +5,14 @@ equivalence modulo T, closure, the Uniqueness and Pref invariants, and a
 bisection for where a counterexample's membership answer flips (Rivest &
 Schapire 1993). They differ in the words: `learn_paths` concatenates local
 paths as tuples, `learn_exec` takes executions up to trace equivalence. A
-subclass binds `_query` to its teacher query and supplies `canon`,
-`check_test`, `bootstrap`, `transitions`, `node_domain`, `counterexample`
-and `verify_table`. `build_hypothesis` builds every hypothesis: it starts
-with `restore_closure`, the one pass that closes the table, runs the debug
-invariant checks and maps every transition to its representative.
+subclass binds `_query` to its teacher query, supplies `bootstrap`,
+`transitions`, `node_domain` and `counterexample`, and may override
+`canon`, `check_test` and the optional `verify_table` hook. The core holds
+the table checks (Uniqueness, Pref, Closure, `check_test` on every test) in
+`verify_invariants`. `restore_closure` is the one pass that closes the
+table and, after `bootstrap`, the only place a state joins Q.
+`build_hypothesis` builds every hypothesis: it starts with that pass, which
+runs the debug checks, and maps every transition to its representative.
 """
 
 from __future__ import annotations
@@ -184,17 +187,25 @@ class Learner:
     # -- invariants ---------------------------------------------------------------
 
     def verify_invariants(self):
+        """The debug checks of a closed table: Uniqueness, Pref, Closure,
+        every test admissible, then the learner's own `verify_table`."""
         for i, u in enumerate(self.q):
             for v in self.q[i + 1 :]:
                 if self.equiv_t(u, v):
                     raise InvariantViolation(f"Uniqueness: {u} == {v} under T")
-        self.verify_table()
-        self.log.append({"event": "invariants", "ok": True})
-
-    def check_pref(self):
         for u in self.q:
             if not any(self._query(u + t) for t in self.tests):
                 raise InvariantViolation(f"Pref: {u} has no passing test")
+        for _, _, word in self.transitions():
+            if self.find_rep(word) is None:
+                raise InvariantViolation(f"Closure: {word} has no representative")
+        for t in self.tests:
+            self.check_test(t)
+        self.verify_table()
+        self.log.append({"event": "invariants", "ok": True})
+
+    def verify_table(self):
+        """Raise InvariantViolation when a learner-specific check fails."""
 
     # -- main loop ------------------------------------------------------------------
 

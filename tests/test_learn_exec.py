@@ -511,16 +511,18 @@ def test_build_hypothesis_closes_the_table(cls, name):
 @pytest.mark.parametrize("cls", [ExecLearner, PathLearner])
 def test_broken_table_fails_validation(cls):
     """A table that lost one letter of the two-process action c out of the
-    initial state yields no hypothesis, also with debug off."""
+    initial state yields no hypothesis, with debug off or on."""
     teacher = Teacher(fixtures.fork())
-    learner = cls(teacher, debug=False)
-    learner.bootstrap(teacher.equiv_query(empty_negotiation(teacher.target.alphabet)).word)
-    if cls is PathLearner:
-        learner.out[()].remove(("c", "q"))
-    else:
-        del learner.supports[((), "c", "q")]
-    with pytest.raises(InvariantViolation, match="hypothesis fails validation"):
-        learner.build_hypothesis()
+    w = teacher.equiv_query(empty_negotiation(teacher.target.alphabet)).word
+    for debug in (False, True):
+        learner = cls(teacher, debug=debug)
+        learner.bootstrap(w)
+        if cls is PathLearner:
+            learner.out[()].remove(("c", "q"))
+        else:
+            del learner.supports[((), "c", "q")]
+        with pytest.raises(InvariantViolation, match="hypothesis fails validation"):
+            learner.build_hypothesis()
 
 
 class TestHypothesisConstruction:

@@ -91,7 +91,7 @@ class TestEquivT:
 class TestAbsentTrans:
     def test_init_processing(self):
         """Bootstrap on FORK: out(eps) gains both c-letters, T gains the
-        per-process tails, Q gains the c-successor states."""
+        per-process tails, and closure adds the c-successor states."""
         teacher = Teacher(fixtures.fork())
         learner = PathLearner(teacher)
         learner.add_state(())
@@ -102,6 +102,8 @@ class TestAbsentTrans:
         assert set(learner.out[()]) == {("c", "p"), ("c", "q")}
         assert (("x", "p"), ("d", "p")) in learner.tests
         assert (("y", "q"), ("d", "q")) in learner.tests
+        assert learner.q == [()]
+        learner.restore_closure()
         assert ((("c", "p"),)) in learner.q
         assert ((("c", "q"),)) in learner.q
 
@@ -113,6 +115,7 @@ class TestAbsentTrans:
         for p in ("p", "q"):
             learner.add_test(traces.projection(learner.alpha, w, p))
         learner.apply_absent_trans(AbsentTrans("a", (), w))
+        learner.restore_closure()
         # a@p and a@q reach the same Nerode class; only one state is added
         assert len(learner.q) == 2
 

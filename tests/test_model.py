@@ -16,6 +16,7 @@ from negotiations.model import (
     Configuration,
     DistributedAlphabet,
     Negotiation,
+    bfs,
     compute_I,
     configuration_graph,
     empty_negotiation,
@@ -386,6 +387,19 @@ class TestSuccessorFunction:
         enabled, moves = expand(("n1", "n2"))
         assert sorted(enabled) == ["n1", "n2"]
         assert moves == [("x", ("n3", "n2")), ("y", ("n1", "n3"))]
+
+
+class TestBfs:
+    def test_start_meeting_stop_is_the_hit(self):
+        """A start that meets `stop` is the hit before any move is drawn."""
+        drawn = []
+
+        def moves(x):
+            drawn.append(x)
+            return [("a", x + 1)]
+
+        assert bfs(0, moves, stop=lambda x: x % 2 == 0) == ({0: None}, 0)
+        assert drawn == []
 
 
 class TestComputeI:

@@ -201,6 +201,11 @@ class TestIsStep:
         # c is the only action of the trace involving r, but b is minimal
         assert not traces.is_step(tiny_alpha(), ("b", "c"), "c", "r")
 
+    def test_empty_or_not_coprime_is_no_step(self):
+        assert not traces.is_step(FORK_ALPHA, (), "c", "p")
+        # x and y are both minimal: two minimal events
+        assert not traces.is_step(FORK_ALPHA, ("x", "y"), "x", "p")
+
 
 class TestProjection:
     def test_fork(self):
