@@ -81,16 +81,16 @@ def case_id(mode, name, debug):
 
 
 GOLDEN = {
-    "paths-ping": "e326e5eff72423485efb13ce13b36f1587373d96a26bb81cd86dec9b74020660",
-    "paths-fork": "ff73f22b546f8b0c2219a8223614066d3b17501f0deab0e60e457ee233dca254",
+    "paths-ping": "e5ec3894da5157d2bf5c1fd425558ccb4829400f8781c531e8fb85b891c2ca20",
+    "paths-fork": "727047e018d97e2c2bf933d5cf97a53bcda34d07996a1a7c7feebe1b9dd67304",
     "paths-fork_unsound": "ffb8f9f66db4db023b927fb5e0b3642e0c423a3111ee656e7a9f4a23c6795b8a",
     "paths-fork_split": "ffb8f9f66db4db023b927fb5e0b3642e0c423a3111ee656e7a9f4a23c6795b8a",
-    "paths-loop2": "88f9b04071196d28030f7eeb6fa19f1c8596a0b24e2365eafee04c5c25ef9ded",
-    "paths-mod15": "e863bbb674ee1e88e292c6d94aee0188baefc135db2589c3c3d94f613f79226f",
-    "paths-two_period": "f4a64e184ef99094ec663a8b2c06680aae9966ea30654a00dc97bca4350f9cc1",
-    "paths-forked_periods": "5c59473dede47c26059849e4f9f16f28d7de9aca74003567b1462bf1bb3d7d2c",
-    "paths-ping_over_mod15": "61df57db4d6bc9111deda101ff65ec0057ab4cd2ea567d11aca8afcdc496247e",
-    "paths-editorial": "758ddff2c17977420013eda3710eaacd18e7fb444dce8f156e5dc4dd0bc6665b",
+    "paths-loop2": "40b77bdcec089ad909f587f444460d4eb17ce9f367f4c82cc01a44051b8131be",
+    "paths-mod15": "7dd5c0682ea2df13188a1ea31b5c9d5eeca20cc501397e7957f76e7b95d094ef",
+    "paths-two_period": "12580fd1618f03d8dcb66e7453596fb3acaa0f07f020e0533686f69858c2bf03",
+    "paths-forked_periods": "52f2690a807ddedbbac936ae515c86638ee2bba7786196c15706e0c84f07dc06",
+    "paths-ping_over_mod15": "252e0af49f801ed13b819a93d27ae44a73e291d14a19c0cb6b87e1e080158841",
+    "paths-editorial": "39980748050c4da9f396f97deb243754161c149c5ea8c642b7a0148de893f5e5",
     "exec-ping": "6191499f189b5f57b0d9b153703ea364904094f14d23a99699f2286cdfb41f84",
     "exec-fork": "ba51220d91b27d36fa1e9beabe20d20b25f1583b694c1cae9cbc16ed08c46591",
     "exec-fork_unsound": "987ff7d8e05b70bad7136e0a400a59e76477ab52a6f5e4047bddb7c5ef25f63e",
@@ -101,14 +101,14 @@ GOLDEN = {
     "exec-forked_periods": "a268de498e3651908810c315a65221db7fda89275cec885a2abab63a7e80be1c",
     "exec-ping_over_mod15": "18cde80e5a08fa475f8a46a711b2a666a06d1735627fd108df7ee9d23b9ade26",
     "exec-editorial": "fdbb3debb4df004de7e6404bb398865ab439a20928078e88fb65baa86f5ddabf",
-    "paths-corpus1": "47e93dc28576c0b585d4e65b50ea434999d236ddb7865f67943dd6b33ac0fef1",
-    "paths-corpus7": "bbc73f7815825d1941f92c620cadc1c7135f0522523c60af884457fc86e3fca7",
-    "paths-corpus10": "ad659feeedb535deaa8ecdd1d58d2a8731435b3d5b27296d6049ff233481556f",
-    "paths-corpus14": "13eb98005c671f20fb2accd0776fc02aaafe0f3ef2780d2acbc49e234f3d4047",
-    "paths-corpus15": "7ae29c8a6f76a050e3d30c80b590bdb6756f84d816742d47afcdd67f77b0eb79",
-    "paths-corpus31": "610978eb091813db60091abac6c0bd87c0c8c8110732d12d54b8f9a354e91edc",
-    "paths-corpus33": "216f359414ea83c5ad9d8622b8550cc394d00d817458593dcd0ead7768b30304",
-    "paths-corpus38": "346db75f4aae5a7e5ebe4bbd01b843cb6ff1cdc89f0ad9794674277f17d690da",
+    "paths-corpus1": "7b8f8aa20715b0f701fd1d07162c6da70fe607935ce9934653033e424324cd4e",
+    "paths-corpus7": "90fda8c92731e789f091cb553ddf9034941d70a034588c41c552d1efe6a62240",
+    "paths-corpus10": "b4daa0bf9038ce6a0727883cb6b3ab3dfd0710fc5a7cb9881abe2c2bb23d79a8",
+    "paths-corpus14": "0eb1ac3f4f58f6f000241fe33082342d15e403fc1ed61c32b1f0948fc3e92e60",
+    "paths-corpus15": "17d1d4c7ee67d491da871d50496cd5ec3ded465823ad258aec04861b383b0b7d",
+    "paths-corpus31": "93080f8f514298e343a195fd515acb007d04c4d272185931b2d5dfac58f5c392",
+    "paths-corpus33": "cebd71909ed3e503359dd9e37f0ad32f3c45ef57f356e3e44aa4769433d9fe2a",
+    "paths-corpus38": "35799982031777cb768a67c5895b9171eed5ff4e78331332705fb43253e336f2",
     "exec-corpus1": "ae577d9f2af2dcbf6cb47a60f944ec5ea76145bca018a033995c624a5e764975",
     "exec-corpus7": "5164880fff4f9720f737addec8e0a180bbd6506aa75e4917b727c86b16724782",
     "exec-corpus10": "04b2229c6c87b8343c53458284c360956aa403a3e6f031fb96af93f7326d6282",
@@ -117,16 +117,16 @@ GOLDEN = {
     "exec-corpus31": "45331f24a16f77793e3da0ae9b3eba47e4428eaaa2dde98053e01265dca66d70",
     "exec-corpus33": "03d766130bbf465cb4a6d6a29c57fc9926c22970f81a811e536fccfb442b2d27",
     "exec-corpus38": "4e9cc2d71cb2e7ddde61a56db753e978d335a7d2b59b8f78253ccd5db852b9da",
-    "paths-ping-debug": "b067981385700597a27fcceafaba4a310ed5997086359ed6c9517478863ff6d9",
-    "paths-fork-debug": "d9bedd55475f19c4e608bbcb5abf3fbe5591b2eb48f7e26206a206c5f7d7a3fc",
+    "paths-ping-debug": "a4a75016e8ac0633da1c36571cd924f2893ab813a1dfe5e8a9594fb8cc9666fd",
+    "paths-fork-debug": "807e39ae4051221e7893759698540ce95fc1abc0eeb6c7797b22a773454abcb8",
     "paths-fork_unsound-debug": "ffb8f9f66db4db023b927fb5e0b3642e0c423a3111ee656e7a9f4a23c6795b8a",
     "paths-fork_split-debug": "ffb8f9f66db4db023b927fb5e0b3642e0c423a3111ee656e7a9f4a23c6795b8a",
-    "paths-loop2-debug": "e1d5025beccdc798694ba80e56de510fb6d51738c73a828530ffbad0a7d0bf81",
-    "paths-mod15-debug": "e9f8efbf69177bbbf46cd0c724d8817d0220b0a25b34c6577200c8233f02ba5d",
-    "paths-two_period-debug": "c067b051a259d90558e2a3ae1b36fa45e02ca1455ad04581f537ff6255cbad80",
-    "paths-forked_periods-debug": "88a03375545777297256caf675b248ea67108907305d5dae10c44ef2c2fa0318",
-    "paths-ping_over_mod15-debug": "09dcc7e8eee8a9fe6f2a4c8cf0e1c88bfdf8a089864c96f08f9d3747c40bee17",
-    "paths-editorial-debug": "c8bceb10c051d9f765346f78232a2752fa4a22c383c6c7410c783711c5e02b10",
+    "paths-loop2-debug": "cd6498a264530ba0f71044ef39b4aad3406b0df6a5a51d7b014c1ee998eb1699",
+    "paths-mod15-debug": "a1d5411b00b99e18b4985ebd9949451a5933cf69e56020f3da0603cf8f0b8f8b",
+    "paths-two_period-debug": "47b899e3c3510a37a5826d6d754e920410c199cbc9eb7b77066421f0c6f571b5",
+    "paths-forked_periods-debug": "1de400c3e17d23ead38f9951c8aea10671f82f45c85b10072ae7de9a0dab7bd5",
+    "paths-ping_over_mod15-debug": "06568f489c5dd1906dfd80483cafd8d2ffcf7c1a139c3a32b405f3ff74d6e3c2",
+    "paths-editorial-debug": "41ffd80972bbacf3b6c173d780784d54eddd8f95c6360044ad0921b6f457d766",
     "exec-ping-debug": "3db9e24a0f50129097d0809905049becb25ae4c18d0a17234786814941fff963",
     "exec-fork-debug": "8a9f8c9c68f3c3ef736fcc08aaf5eee3ddd0f91bbcd312f9ddf6a86eb2db4f73",
     "exec-fork_unsound-debug": "987ff7d8e05b70bad7136e0a400a59e76477ab52a6f5e4047bddb7c5ef25f63e",
@@ -139,16 +139,16 @@ GOLDEN = {
     "exec-editorial-debug": "b1167269205393096e920d58501a4543afebd7b6a13fb0f2a1fef6f7a75d218a",
 }
 MEMBERSHIP_TOTAL = {
-    "paths-ping": 128,
-    "paths-fork": 511,
+    "paths-ping": 72,
+    "paths-fork": 351,
     "paths-fork_unsound": 0,
     "paths-fork_split": 0,
-    "paths-loop2": 241,
-    "paths-mod15": 42555,
-    "paths-two_period": 4076,
-    "paths-forked_periods": 2615,
-    "paths-ping_over_mod15": 128,
-    "paths-editorial": 5947,
+    "paths-loop2": 161,
+    "paths-mod15": 36815,
+    "paths-two_period": 3536,
+    "paths-forked_periods": 2185,
+    "paths-ping_over_mod15": 72,
+    "paths-editorial": 4683,
     "exec-ping": 63,
     "exec-fork": 343,
     "exec-fork_unsound": 0,
@@ -159,14 +159,14 @@ MEMBERSHIP_TOTAL = {
     "exec-forked_periods": 1898,
     "exec-ping_over_mod15": 63,
     "exec-editorial": 2428,
-    "paths-corpus1": 1040,
-    "paths-corpus7": 20067,
-    "paths-corpus10": 13281,
-    "paths-corpus14": 2747,
-    "paths-corpus15": 14316,
-    "paths-corpus31": 17423,
-    "paths-corpus33": 4571,
-    "paths-corpus38": 2637,
+    "paths-corpus1": 776,
+    "paths-corpus7": 16611,
+    "paths-corpus10": 11457,
+    "paths-corpus14": 2225,
+    "paths-corpus15": 11732,
+    "paths-corpus31": 14905,
+    "paths-corpus33": 3671,
+    "paths-corpus38": 2069,
     "exec-corpus1": 606,
     "exec-corpus7": 6055,
     "exec-corpus10": 6248,
@@ -175,16 +175,16 @@ MEMBERSHIP_TOTAL = {
     "exec-corpus31": 7657,
     "exec-corpus33": 2541,
     "exec-corpus38": 1298,
-    "paths-ping-debug": 233,
-    "paths-fork-debug": 1029,
+    "paths-ping-debug": 177,
+    "paths-fork-debug": 869,
     "paths-fork_unsound-debug": 0,
     "paths-fork_split-debug": 0,
-    "paths-loop2-debug": 449,
-    "paths-mod15-debug": 93375,
-    "paths-two_period-debug": 8482,
-    "paths-forked_periods-debug": 5920,
-    "paths-ping_over_mod15-debug": 233,
-    "paths-editorial-debug": 11920,
+    "paths-loop2-debug": 369,
+    "paths-mod15-debug": 87635,
+    "paths-two_period-debug": 7942,
+    "paths-forked_periods-debug": 5490,
+    "paths-ping_over_mod15-debug": 177,
+    "paths-editorial-debug": 10656,
     "exec-ping-debug": 160,
     "exec-fork-debug": 890,
     "exec-fork_unsound-debug": 0,
