@@ -8,7 +8,8 @@ graph that backs the soundness and equivalence oracles.
 
 `enabled`, `enabled_actions` and `step` are the reference semantics. The
 searches over the configuration space (`configuration_graph`, so semantic
-soundness; `compute_I`; the product search through `product_moves`) run
+soundness; `compute_I`; the teacher's product search, which reuses the
+graphs the soundness checks built and expands the rest on demand) run
 instead on one successor kernel, `successor_function`, over plain node
 tuples. Building it reads `delta` once, in O(|delta|). Expanding a
 configuration then costs O(d*k + s*|P|) for its d distinct occupied nodes,
@@ -484,25 +485,6 @@ def successor_function(n: Negotiation):
         return enabled, out
 
     return expand
-
-
-def product_moves(t: Negotiation, h: Negotiation):
-    """`moves(pair)` for a `bfs` over the synchronized product of `t` and
-    `h` (same alphabet), on pairs of node tuples: each action enabled on
-    either side, in declared action order, with the pair it leads to; a
-    side where the action is not enabled goes to the dead sink, None, and
-    stays there."""
-    expand_t, expand_h = successor_function(t), successor_function(h)
-    rank = t.alphabet.action_index
-
-    def moves(pair):
-        c1, c2 = pair
-        moves1 = dict(expand_t(c1)[1]) if c1 is not None else {}
-        moves2 = dict(expand_h(c2)[1]) if c2 is not None else {}
-        return [(a, (moves1.get(a), moves2.get(a)))
-                for a in sorted(moves1.keys() | moves2.keys(), key=rank)]
-
-    return moves
 
 
 @dataclass

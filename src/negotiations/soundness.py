@@ -13,11 +13,12 @@ witnesses; each check is the other's cross-oracle in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .model import (
     DEFAULT_STATE_BUDGET,
     Configuration,
+    ConfigurationGraph,
     Negotiation,
     bfs,
     configuration_graph,
@@ -32,11 +33,15 @@ from .model import (
 class SemanticSoundness:
     sound: bool
     counterexample: Configuration | None = None
+    # the configuration graph the verdict was read from, kept for reuse
+    # (the teacher's product search); equality and repr ignore it
+    graph: ConfigurationGraph | None = field(default=None, compare=False, repr=False)
 
 
 def is_sound_semantic(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> SemanticSoundness:
     """Every reachable configuration must reach C_fin; on failure returns the
-    first reachable configuration (in BFS order) with no path to C_fin."""
+    first reachable configuration (in BFS order) with no path to C_fin.
+    Either way the result carries the configuration graph it searched."""
     graph = configuration_graph(n, budget=budget)
     pred = [[] for _ in graph.order]
     for i, outs in enumerate(graph.succ):
@@ -48,8 +53,8 @@ def is_sound_semantic(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> Sem
     if stuck:
         # prefer an outright deadlock as the counterexample when one exists
         dead = next((i for i in stuck if not graph.succ[i]), stuck[0])
-        return SemanticSoundness(False, Configuration(graph.processes, graph.order[dead]))
-    return SemanticSoundness(True, None)
+        return SemanticSoundness(False, Configuration(graph.processes, graph.order[dead]), graph)
+    return SemanticSoundness(True, None, graph)
 
 
 # --------------------------------------------------------------------------

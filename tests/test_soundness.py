@@ -4,11 +4,19 @@ from itertools import islice
 
 from negotiations import cli
 from negotiations.formats import serialize
-from negotiations.model import Configuration, DistributedAlphabet, Negotiation, reach, validate
+from negotiations.model import (
+    Configuration,
+    DistributedAlphabet,
+    Negotiation,
+    configuration_graph,
+    reach,
+    validate,
+)
 from negotiations.soundness import (
     BWitness,
     CWitness,
     FWitness,
+    SemanticSoundness,
     _diverging_forks,
     find_any_pattern,
     find_pattern_B,
@@ -222,6 +230,24 @@ class TestSemantic:
         for n in (fixtures.ping(), fixtures.loop2(), fixtures.mod15(), fixtures.editorial()):
             assert is_sound_semantic(n).sound
         assert not is_sound_semantic(fixtures.fork_split()).sound
+
+    def test_result_carries_the_graph_it_searched(self):
+        for name in FIXTURES:
+            n = getattr(fixtures, name)()
+            graph = is_sound_semantic(n).graph
+            expected = configuration_graph(n)
+            assert (graph.order, graph.succ) == (expected.order, expected.succ), name
+
+    def test_equality_and_repr_ignore_the_graph(self):
+        """A result with its graph equals one without, as the stepwise
+        oracle builds it, and prints the same."""
+        for n in (fixtures.fork(), fixtures.fork_unsound()):
+            res = is_sound_semantic(n)
+            bare = SemanticSoundness(res.sound, res.counterexample)
+            assert res.graph is not None and bare.graph is None
+            assert res == bare and repr(res) == repr(bare)
+            assert res == oracles.stepwise_is_sound(n)
+        assert is_sound_semantic(fixtures.fork()) != is_sound_semantic(fixtures.fork_unsound())
 
 
 class TestPatternB:

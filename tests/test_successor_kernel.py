@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negotiations import cli
-from negotiations.errors import NegotiationError, NotEnabled
+from negotiations.errors import NegotiationError, NotEnabled, StateBudgetExceeded
 from negotiations.formats import serialize
 from negotiations.generate import GenParams, generate
 from negotiations.model import (
@@ -117,6 +117,63 @@ def test_product_search_agrees_on_valid_inputs(valid_inputs):
             assert_products_agree(m, n)
             answers.add(product(n, m, 10**6).sign)
     assert answers == {None, "positive", "negative"}
+
+
+# -- one teacher, many hypotheses: the kept target graph leaks nothing ---------
+
+
+@pytest.fixture(scope="module")
+def oracle_answers(valid_inputs):
+    """The stepwise product search of each original against itself and
+    then against each of its mutants."""
+    return [[oracles.stepwise_product_search(n, h) for h in (n, *mutants)]
+            for n, mutants in valid_inputs]
+
+
+def test_target_graph_filled_on_demand_then_whole(valid_inputs, oracle_answers):
+    """One teacher answers every hypothesis with the target's graph filled
+    on demand, then again after its soundness check put the whole graph in
+    its place."""
+    for (n, mutants), expected in zip(valid_inputs, oracle_answers):
+        teacher = Teacher(n)
+        hyps = (n, *mutants)
+        assert [teacher._product_search(h) for h in hyps] == expected
+        assert not teacher._target_graph.whole
+        teacher.target_is_sound()
+        assert teacher._target_graph.order == list(configuration_graph(n).order)
+        assert [teacher._product_search(h) for h in hyps] == expected
+
+
+def test_target_graph_whole_first(valid_inputs, oracle_answers):
+    """With the target's whole graph kept from the start, every route into
+    the product answers as the oracle: on demand for the hypothesis, over
+    the hypothesis's own soundness graph, and through `equiv_query`."""
+    for (n, mutants), expected in zip(valid_inputs, oracle_answers):
+        teacher = Teacher(n)
+        teacher.target_is_sound()
+        for h, want in zip((n, *mutants), expected):
+            assert teacher._product_search(h) == want
+            assert teacher._product_search(h, is_sound_semantic(h).graph) == want
+            assert teacher.equiv_query(h) == want
+        assert teacher._target_graph.order == list(configuration_graph(n).order)
+
+
+def test_target_graph_kept_under_a_small_budget(valid_inputs):
+    """Under a small budget each answer, `StateBudgetExceeded` and its
+    message included, is the oracle's, also in a second round that runs
+    on the target graph the first round filled."""
+    raised = 0
+    for n, mutants in valid_inputs:
+        hyps = (n, *mutants)
+        for budget in (5, 50):
+            teacher = Teacher(n, state_budget=budget)
+            outcome(teacher.target_is_sound)
+            for round_ in (0, 1):
+                for h in hyps:
+                    got = outcome(teacher._product_search, h)
+                    assert got == outcome(oracles.stepwise_product_search, n, h, budget)
+                    raised += round_ == 1 and isinstance(got, tuple) and got[0] is StateBudgetExceeded
+    assert raised > 0
 
 
 def test_budgets_agree():
