@@ -118,7 +118,7 @@ class Learner:
         if len(self.q) > size:
             self.log.append({"event": "closure", "added": len(self.q) - size})
         if self.debug:
-            self.verify_invariants()
+            self.verify_invariants(reps)
         return reps
 
     # -- hypotheses -------------------------------------------------------------
@@ -186,9 +186,12 @@ class Learner:
 
     # -- invariants ---------------------------------------------------------------
 
-    def verify_invariants(self):
+    def verify_invariants(self, reps: dict | None = None):
         """The debug checks of a closed table: Uniqueness, Pref, Closure,
-        every test admissible, then the learner's own `verify_table`."""
+        every test admissible, then the learner's own `verify_table`.
+        Closure reads `reps`, the {(u, letter): rep} map `restore_closure`
+        has just built: every transition has an entry, and each rep is in
+        Q. With no map given, it searches each transition's rep itself."""
         for i, u in enumerate(self.q):
             for v in self.q[i + 1 :]:
                 if self.equiv_t(u, v):
@@ -196,8 +199,10 @@ class Learner:
         for u in self.q:
             if not any(self._query(u + t) for t in self.tests):
                 raise InvariantViolation(f"Pref: {u} has no passing test")
-        for _, _, word in self.transitions():
-            if self.find_rep(word) is None:
+        if reps is None:
+            reps = {(u, letter): self.find_rep(word) for u, letter, word in self.transitions()}
+        for u, letter, word in self.transitions():
+            if reps.get((u, letter)) not in self._states:
                 raise InvariantViolation(f"Closure: {word} has no representative")
         for t in self.tests:
             self.check_test(t)

@@ -4,7 +4,7 @@ import pytest
 
 from negotiations import learn_paths, traces
 from negotiations.automata import minimize_negotiation, neg_equiv
-from negotiations.errors import NoSplit
+from negotiations.errors import InvariantViolation, NoSplit
 from negotiations.formats import parse
 from negotiations.learn_paths import AbsentTrans, Neq, PathLearner
 from negotiations.model import empty_negotiation
@@ -129,6 +129,24 @@ class TestAbsentTrans:
         learner.apply_absent_trans(AbsentTrans("c", (), w))
         learner.restore_closure()
         learner.verify_invariants()
+
+    def test_closure_reads_the_map_restore_closure_built(self):
+        """Closure holds when every transition has a rep in Q in the map
+        `restore_closure` returns, and fails on a missing entry or a rep
+        outside Q."""
+        teacher = Teacher(fixtures.fork())
+        learner = PathLearner(teacher)
+        learner.add_state(())
+        w = ("c", "x", "y", "d")
+        for p in ("p", "q"):
+            learner.add_test(traces.projection(learner.alpha, w, p))
+        learner.apply_absent_trans(AbsentTrans("c", (), w))
+        reps = learner.restore_closure()
+        learner.verify_invariants(reps)
+        key = next(iter(reps))
+        for bad in ({k: v for k, v in reps.items() if k != key}, {**reps, key: ("zz",)}):
+            with pytest.raises(InvariantViolation, match="Closure"):
+                learner.verify_invariants(bad)
 
 
 class TestApplyNeq:
