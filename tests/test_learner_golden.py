@@ -175,26 +175,26 @@ MEMBERSHIP_TOTAL = {
     "exec-corpus31": 7657,
     "exec-corpus33": 2541,
     "exec-corpus38": 1298,
-    "paths-ping-debug": 177,
-    "paths-fork-debug": 869,
+    "paths-ping-debug": 97,
+    "paths-fork-debug": 519,
     "paths-fork_unsound-debug": 0,
     "paths-fork_split-debug": 0,
-    "paths-loop2-debug": 369,
-    "paths-mod15-debug": 87635,
-    "paths-two_period-debug": 7942,
-    "paths-forked_periods-debug": 5490,
-    "paths-ping_over_mod15-debug": 177,
-    "paths-editorial-debug": 10656,
-    "exec-ping-debug": 160,
-    "exec-fork-debug": 890,
+    "paths-loop2-debug": 205,
+    "paths-mod15-debug": 50715,
+    "paths-two_period-debug": 4422,
+    "paths-forked_periods-debug": 3316,
+    "paths-ping_over_mod15-debug": 97,
+    "paths-editorial-debug": 5996,
+    "exec-ping-debug": 100,
+    "exec-fork-debug": 574,
     "exec-fork_unsound-debug": 0,
     "exec-fork_split-debug": 0,
-    "exec-loop2-debug": 316,
-    "exec-mod15-debug": 54127,
-    "exec-two_period-debug": 5770,
-    "exec-forked_periods-debug": 4739,
-    "exec-ping_over_mod15-debug": 160,
-    "exec-editorial-debug": 5799,
+    "exec-loop2-debug": 196,
+    "exec-mod15-debug": 32703,
+    "exec-two_period-debug": 3454,
+    "exec-forked_periods-debug": 3037,
+    "exec-ping_over_mod15-debug": 100,
+    "exec-editorial-debug": 3485,
 }
 
 
