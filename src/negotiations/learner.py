@@ -199,10 +199,9 @@ class Learner:
         for u in self.q:
             if not any(self._query(u + t) for t in self.tests):
                 raise InvariantViolation(f"Pref: {u} has no passing test")
-        if reps is None:
-            reps = {(u, letter): self.find_rep(word) for u, letter, word in self.transitions()}
         for u, letter, word in self.transitions():
-            if reps.get((u, letter)) not in self._states:
+            rep = self.find_rep(word) if reps is None else reps.get((u, letter))
+            if rep not in self._states:
                 raise InvariantViolation(f"Closure: {word} has no representative")
         for t in self.tests:
             self.check_test(t)

@@ -6,7 +6,7 @@ equivalence), and equivalence queries whose counterexamples are executions,
 shortest first with lexicographic tie-breaking.
 
 Counterexamples come from a BFS over the synchronized product of the two
-configuration graphs, each held as an `IndexedGraph`: node tuple -> index,
+configuration graphs, each held as an `_IndexedGraph`: node tuple -> index,
 index -> node tuple, and index -> the moves to successor indices in declared
 action order. The configuration graphs the soundness checks build arrive
 whole; a side with none is expanded on demand through
@@ -60,7 +60,7 @@ class EquivAnswer:
 _NO_MOVES = ((), ())
 
 
-class IndexedGraph:
+class _IndexedGraph:
     """The configuration graph of `n` in integer form, one side of the
     product search: `index` maps a node tuple to its index, `order` an
     index to its node tuple, and `moves[i]` is `(actions, successor
@@ -155,7 +155,7 @@ class Teacher:
             self._target_sound = result.sound
             # the whole graph replaces one filled on demand: no search is
             # running, so no index of the old one is still in use
-            self._target_graph = IndexedGraph(self.target, result.graph)
+            self._target_graph = _IndexedGraph(self.target, result.graph)
         return self._target_sound
 
     def equiv_query(self, hypothesis: Negotiation) -> EquivAnswer:
@@ -197,8 +197,8 @@ class Teacher:
         the first such pair gives the shortest, lexicographically least
         counterexample."""
         if self._target_graph is None:
-            self._target_graph = IndexedGraph(self.target)
-        t, h = self._target_graph, IndexedGraph(hypothesis, graph)
+            self._target_graph = _IndexedGraph(self.target)
+        t, h = self._target_graph, _IndexedGraph(hypothesis, graph)
         t_moves, h_moves = t.moves, h.moves
         t_fin, h_fin = t.final(), h.final()
         rank = self.target.alphabet.action_index
