@@ -111,10 +111,6 @@ def save(n: Negotiation, path: str):
 # -- words ------------------------------------------------------------------
 
 
-def format_local_word(pi) -> str:
-    return " ".join(f"{a}@{p}" for a, p in pi)
-
-
 def parse_local_word(text: str, alphabet: DistributedAlphabet):
     letters = []
     for i, tok in enumerate(text.split()):

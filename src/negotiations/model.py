@@ -19,6 +19,15 @@ in the visited sets. There is one semantics for every negotiation, valid or
 not: (m, a) is enabled exactly when `step` fires a from m, and the kernel
 fires exactly those moves, so the searches never raise NotEnabled.
 
+Executions do not step through `Configuration`s either. `_fire` tests and
+fires one action on a list of process positions (declared order) with
+`step`'s checks, and moves the list only once they all pass. `run_execution`
+walks a word with it and builds one `Configuration` at the end, so
+`member_exec`, the teacher's execution queries and counterexample replay
+and `neg member --exec` run on it; `traces.max_executable_prefix` tests and
+fires its minimal events through it too. `step` stays the reference that
+the tests hold both against.
+
 Graph searches use `reach` for reachability sets and `bfs` (with `path`
 reading a label path out of its parent map) where discovery order, shortest
 paths or a first hit matter: `compute_I`, the product search, the pattern
@@ -375,16 +384,42 @@ def step(n: Negotiation, c: Configuration, a) -> Configuration:
     return c.replace({p: n.delta[(m, a, p)] for p in procs})
 
 
+def _fire(n: Negotiation, at: list, a):
+    """Fire the known action `a` on `at`, the node of each process in
+    declared order, exactly where `step` fires it: all of dom(a) sits at
+    the node m of its first process, each (m, a, p) is in `delta`, and,
+    when dnode(m) is not dom(a) (only in an invalid negotiation), all of
+    dnode(m) sits at m too. Returns m, having moved `at` along `delta`, or
+    None with `at` untouched."""
+    alpha = n.alphabet
+    pos = alpha._proc_index
+    procs = alpha.dom[a]
+    m = at[pos[procs[0]]]
+    delta = n.delta
+    for p in procs:
+        if at[pos[p]] != m or (m, a, p) not in delta:
+            return None
+    dn = n.dnode[m]
+    if dn != procs:
+        for p in dn:
+            if at[pos[p]] != m:
+                return None
+    for p in procs:
+        at[pos[p]] = delta[(m, a, p)]
+    return m
+
+
 def run_execution(n: Negotiation, w) -> ExecutionOutcome:
-    """Fire the letters of `w` left to right from the initial configuration."""
+    """Fire the letters of `w` left to right from the initial configuration;
+    `end` is the configuration before the blocking letter when stuck."""
     w = tuple(w)
     n.alphabet.check_word(w)
-    c = n.initial_configuration()
+    procs = n.alphabet.processes
+    at = [n.init] * len(procs)
     for i, a in enumerate(w):
-        try:
-            c = step(n, c, a)
-        except NotEnabled:
-            return ExecutionOutcome(ExecutionOutcome.STUCK, i, c)
+        if _fire(n, at, a) is None:
+            return ExecutionOutcome(ExecutionOutcome.STUCK, i, Configuration(procs, tuple(at)))
+    c = Configuration(procs, tuple(at))
     if c == n.final_configuration():
         return ExecutionOutcome(ExecutionOutcome.COMPLETED, len(w), c)
     return ExecutionOutcome(ExecutionOutcome.PARTIAL, len(w), c)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .errors import NotCoprime, ProcessNotInDmin, UnknownAction
-from .model import Configuration, DistributedAlphabet, Negotiation, enabled_actions, step
+from .model import Configuration, DistributedAlphabet, Negotiation, _fire
 
 
 def _domains(alpha: DistributedAlphabet, w) -> list:
@@ -83,10 +83,6 @@ def normal_form(alpha: DistributedAlphabet, w) -> tuple:
             if not indegree[j]:
                 heappush(ready, (index[w[j]], j))
     return tuple(out)
-
-
-def trace_equal(alpha: DistributedAlphabet, u, v) -> bool:
-    return normal_form(alpha, u) == normal_form(alpha, v)
 
 
 def trace_quotient(alpha: DistributedAlphabet, u, w):
@@ -217,7 +213,7 @@ def step_decomposition(alpha: DistributedAlphabet, r, p) -> StepDecomposition:
 class PrefixResult:
     """Outcome of the greedy maximal-executable-prefix fixpoint: the fired
     `prefix`, the unfired `remainder` and the configuration `end` reached.
-    `step` moves each process along `delta`, so process p's nodes are
+    Firing moves each process along `delta`, so process p's nodes are
     `model.walk` from init along `projection(prefix, p)`.
     """
 
@@ -228,7 +224,8 @@ class PrefixResult:
 
 def max_executable_prefix(n: Negotiation, w, rng=None) -> PrefixResult:
     """Fire any enabled action among the remainder's minimal events until
-    none is; soundness of `n` is not required.
+    none is; soundness of `n` is not required. Each test and each firing is
+    `model._fire` on one list of process positions, where `step` would fire.
 
     With `rng` the choice among simultaneously enabled minimal events is
     randomized (confluence is a tested property, not an assumption).
@@ -236,15 +233,16 @@ def max_executable_prefix(n: Negotiation, w, rng=None) -> PrefixResult:
     alpha = n.alphabet
     alpha.check_word(w)
     rest = list(w)
-    c = n.initial_configuration()
+    at = [n.init] * len(alpha.processes)
     fired = []
     while True:
-        enabled = set(enabled_actions(n, c))
-        enabled_now = [i for i in minimal_event_indices(alpha, rest) if rest[i] in enabled]
+        # test on copies: only the picked event moves `at`
+        enabled_now = [i for i in minimal_event_indices(alpha, rest)
+                       if _fire(n, at[:], rest[i]) is not None]
         if not enabled_now:
             break
         pick = enabled_now[0] if rng is None else rng.choice(enabled_now)
         a = rest.pop(pick)
-        c = step(n, c, a)
+        _fire(n, at, a)
         fired.append(a)
-    return PrefixResult(tuple(fired), tuple(rest), c)
+    return PrefixResult(tuple(fired), tuple(rest), Configuration(alpha.processes, tuple(at)))

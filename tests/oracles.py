@@ -7,11 +7,19 @@ from itertools import product
 from negotiations.errors import (
     AmbiguousConfiguration,
     ConfigurationNotFound,
+    NotEnabled,
     StateBudgetExceeded,
 )
-from negotiations.model import Negotiation, enabled_actions, enabled_nodes, step
+from negotiations.model import (
+    ExecutionOutcome,
+    Negotiation,
+    enabled_actions,
+    enabled_nodes,
+    step,
+)
 from negotiations.soundness import SemanticSoundness
 from negotiations.teacher import NEGATIVE, POSITIVE, EquivAnswer
+from negotiations.traces import PrefixResult, minimal_event_indices, normal_form
 
 
 def trace_closure(alpha, w):
@@ -72,6 +80,14 @@ def pairwise_upward_closure_indices(alpha, w, e):
 
 def brute_minimal_actions(alpha, w):
     return {u[0] for u in trace_closure(alpha, w) if u}
+
+
+def trace_equal(alpha, u, v) -> bool:
+    return normal_form(alpha, u) == normal_form(alpha, v)
+
+
+def format_local_word(pi) -> str:
+    return " ".join(f"{a}@{p}" for a, p in pi)
 
 
 def brute_trace_equal(alpha, u, v):
@@ -165,6 +181,47 @@ def language_upto(n: Negotiation, max_len: int):
         if not frontier:
             break
     return out
+
+
+# -- executions by `enabled_actions` and `step` -------------------------------
+# model.run_execution and traces.max_executable_prefix fire through
+# model._fire on a list of process positions; they must agree with these,
+# ends, remainders and raised errors included.
+
+
+def stepwise_run_execution(n: Negotiation, w) -> ExecutionOutcome:
+    """Fire the letters of `w` left to right from the initial configuration."""
+    w = tuple(w)
+    n.alphabet.check_word(w)
+    c = n.initial_configuration()
+    for i, a in enumerate(w):
+        try:
+            c = step(n, c, a)
+        except NotEnabled:
+            return ExecutionOutcome(ExecutionOutcome.STUCK, i, c)
+    if c == n.final_configuration():
+        return ExecutionOutcome(ExecutionOutcome.COMPLETED, len(w), c)
+    return ExecutionOutcome(ExecutionOutcome.PARTIAL, len(w), c)
+
+
+def stepwise_max_executable_prefix(n: Negotiation, w, rng=None) -> PrefixResult:
+    """Fire any enabled action among the remainder's minimal events until
+    none is; with `rng` the choice among them is randomized."""
+    alpha = n.alphabet
+    alpha.check_word(w)
+    rest = list(w)
+    c = n.initial_configuration()
+    fired = []
+    while True:
+        enabled = set(enabled_actions(n, c))
+        enabled_now = [i for i in minimal_event_indices(alpha, rest) if rest[i] in enabled]
+        if not enabled_now:
+            break
+        pick = enabled_now[0] if rng is None else rng.choice(enabled_now)
+        a = rest.pop(pick)
+        c = step(n, c, a)
+        fired.append(a)
+    return PrefixResult(tuple(fired), tuple(rest), c)
 
 
 # -- configuration-space searches by `enabled_actions` and `step` -------------

@@ -11,6 +11,7 @@ import pytest
 from negotiations import learn_exec, learn_paths, traces
 from negotiations.automata import minimize_negotiation, neg_equiv
 from negotiations.errors import BudgetExceeded
+from negotiations.formats import serialize
 from negotiations.generate import GenParams, generate
 from negotiations.model import (
     DistributedAlphabet,
@@ -159,6 +160,9 @@ def test_criterion_4_path_learner(corpus):
         if len(got.nodes) != len(minimal.nodes) or len(got.delta) != len(minimal.delta):
             bad.append((i, "not minimal"))
             continue
+        if serialize(minimize_negotiation(got)) != serialize(minimal):
+            bad.append((i, "not isomorphic to the canonical minimal negotiation"))
+            continue
         s = neg_size(minimal)
         m = teacher.stats.max_counterexample_len
         bound = 16 * s * (s + len(n.alphabet.processes) + math.log2(m + 2))
@@ -184,6 +188,12 @@ def test_criterion_5_exec_learner(corpus):
             bad.append((i, "equivalence query on unsound hypothesis"))
             continue
         minimal = minimize_negotiation(n)
+        if len(got.nodes) != len(minimal.nodes) or len(got.delta) != len(minimal.delta):
+            bad.append((i, "not minimal"))
+            continue
+        if serialize(minimize_negotiation(got)) != serialize(minimal):
+            bad.append((i, "not isomorphic to the canonical minimal negotiation"))
+            continue
         s = neg_size(minimal)
         m = teacher.stats.max_counterexample_len
         bound = 16 * s * (s * s + math.log2(m + 2))
@@ -240,7 +250,7 @@ def test_criterion_7_trace_oracle_suite():
                 failures.append(("minimal_actions", member))
             if traces.is_coprime(alpha, member) != expected_coprime:
                 failures.append(("is_coprime", member))
-            if not traces.trace_equal(alpha, member, w):
+            if not oracles.trace_equal(alpha, member, w):
                 failures.append(("trace_equal", member))
         # quotient: every linearization prefix is a trace prefix and recomposes
         for member in list(closure)[:24]:

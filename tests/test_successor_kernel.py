@@ -4,7 +4,10 @@
 product search run on `model.successor_function`; `oracles.stepwise_*` are
 the same searches over `enabled_actions` and `step`. They must agree on
 vertex order, edges, verdicts, counterexamples and raised errors, on valid
-inputs and on invalid ones.
+inputs and on invalid ones. `run_execution` and `max_executable_prefix`
+fire through `model._fire` on a list of process positions, and must agree
+with `oracles.stepwise_run_execution` and
+`oracles.stepwise_max_executable_prefix` in the same way.
 """
 
 import random
@@ -13,18 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negotiations import cli
-from negotiations.errors import NegotiationError, NotEnabled, StateBudgetExceeded
+from negotiations import cli, traces
+from negotiations.errors import NegotiationError, NotEnabled, StateBudgetExceeded, UnknownAction
 from negotiations.formats import serialize
 from negotiations.generate import GenParams, generate
 from negotiations.model import (
     DistributedAlphabet,
+    ExecutionOutcome,
     Negotiation,
     compute_I,
     configuration_graph,
     enabled_actions,
     member_exec,
     reach,
+    run_execution,
     step,
     successor_function,
     validate,
@@ -288,15 +293,20 @@ def test_graph_accepts_what_member_exec_accepts(base, seed):
         assert (i is not None and g.order[i] == fin) == member_exec(n, w)
 
 
-def test_action_fireable_at_two_nodes_fires_once():
+def fireable_at_two_nodes():
     """x is fireable at A (dom(x) = dnode(A)) and, invalidly, at B, which
-    holds only q; `step` fires it once, from where p sits."""
+    holds only q."""
     alpha = DistributedAlphabet(("p", "q"), ("c", "x"), {"c": ("p", "q"), "x": ("p",)})
-    n = Negotiation(
+    return Negotiation(
         alpha, ("I", "A", "B", "F"), {"I": ("p", "q"), "A": ("p",), "B": ("q",), "F": ("p", "q")},
         {("I", "c", "p"): "A", ("I", "c", "q"): "B", ("A", "x", "p"): "A", ("B", "x", "p"): "A"},
         "I", "F",
     )
+
+
+def test_action_fireable_at_two_nodes_fires_once():
+    """`step` fires x once, from where p sits."""
+    n = fireable_at_two_nodes()
     g = configuration_graph(n)
     assert [c.nodes for c in g.vertices] == [("I", "I"), ("A", "B")]
     assert [(a, c.nodes) for a, c in g.edges[g.vertices[1]]] == [("x", ("A", "B"))]
@@ -378,3 +388,67 @@ class TestInvalidInput:
         assert cli.main(["sound", str(path)]) == cli.EXIT_FALSE
         out, err = capsys.readouterr()
         assert out == '{"configuration":{"p":"m","q":"I"}}\n' and err == ""
+
+
+# -- executions on a list of process positions against the stepwise loops ------
+
+UNKNOWN = "unknown-action"
+
+
+def execution_words(n, rng, count):
+    """`count` seeded words of length 0-25: a third uniform over the
+    actions, the rest a random run along `step` padded with random letters,
+    and every fifth with an unknown action put in somewhere."""
+    actions = n.alphabet.actions
+    words = []
+    for k in range(count):
+        length = rng.randrange(26)
+        w = []
+        c = n.initial_configuration()
+        while k % 3 and len(w) < length:
+            moves = fired(n, c)
+            if not moves:
+                break
+            a, c = rng.choice(moves)
+            w.append(a)
+        w += [rng.choice(actions) for _ in range(length - len(w))]
+        if k % 5 == 4:
+            w.insert(rng.randrange(len(w) + 1), UNKNOWN)
+        words.append(tuple(w))
+    return words
+
+
+def assert_executions_agree(n, rng, count, seeds=(0, 1, 2)):
+    """Both execution routes answer as their stepwise loops on `count`
+    words of `n`; returns each run's status, or the error type raised."""
+    seen = set()
+    for w in execution_words(n, rng, count):
+        got = outcome(run_execution, n, w)
+        assert got == outcome(oracles.stepwise_run_execution, n, w)
+        seen.add(got[0] if isinstance(got, tuple) else got.status)
+        assert outcome(traces.max_executable_prefix, n, w) == outcome(
+            oracles.stepwise_max_executable_prefix, n, w)
+        for seed in seeds:
+            assert outcome(traces.max_executable_prefix, n, w, rng=random.Random(seed)) == outcome(
+                oracles.stepwise_max_executable_prefix, n, w, rng=random.Random(seed))
+    return seen
+
+
+def test_executions_agree_with_the_stepwise_loops(valid_inputs):
+    """Outcomes, ends, prefixes, remainders and raised errors are the
+    stepwise loops', on valid inputs and their mutants, on invalid variants
+    (guarded moves among them) and on both hand-made invalid negotiations."""
+    rng = random.Random(17)
+    seen = set()
+    for n, mutants in valid_inputs:
+        for m in (n, *mutants):
+            seen |= assert_executions_agree(m, rng, 4)
+    guarded = 0
+    for _, bad in invalid_variants():
+        seen |= assert_executions_agree(bad, rng, 4)
+        guarded += has_guarded_move(bad)
+    for n in (invalid_rendezvous(), fireable_at_two_nodes()):
+        seen |= assert_executions_agree(n, rng, 40)
+    assert guarded > 0
+    assert seen == {ExecutionOutcome.COMPLETED, ExecutionOutcome.PARTIAL,
+                    ExecutionOutcome.STUCK, UnknownAction}

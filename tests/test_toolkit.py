@@ -12,7 +12,6 @@ from negotiations.automata import minimize_negotiation
 from negotiations.errors import ParseError, StateBudgetExceeded
 from negotiations.formats import (
     export_dot,
-    format_local_word,
     parse,
     parse_execution,
     parse_local_word,
@@ -24,6 +23,7 @@ from negotiations.soundness import is_sound_semantic
 from negotiations.teacher import Teacher
 
 import fixtures
+import oracles
 from test_soundness import undominated_cycle_fixture
 
 
@@ -179,7 +179,7 @@ class TestJson:
         alpha = fixtures.fork().alphabet
         pi = parse_local_word("c@p x@p d@p", alpha)
         assert pi == (("c", "p"), ("x", "p"), ("d", "p"))
-        assert format_local_word(pi) == "c@p x@p d@p"
+        assert oracles.format_local_word(pi) == "c@p x@p d@p"
         with pytest.raises(ParseError):
             parse_local_word("c@z", alpha)
         with pytest.raises(ParseError):
