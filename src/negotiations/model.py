@@ -8,16 +8,18 @@ graph that backs the soundness and equivalence oracles.
 
 `enabled`, `enabled_actions` and `step` are the reference semantics. The
 searches over the configuration space (`configuration_graph`, so semantic
-soundness; `compute_I`; the teacher's product search, which reuses the
-graphs the soundness checks built and expands the rest on demand) run
-instead on one successor kernel, `successor_function`, over plain node
-tuples. Building it reads `delta` once, in O(|delta|). Expanding a
+soundness; `compute_I`; the teacher's product search) run instead on one
+successor kernel, `successor_function`, over plain node tuples. Building
+the kernel reads `delta` once, in O(|delta|). Expanding a
 configuration then costs O(d*k + s*|P|) for its d distinct occupied nodes,
 domains of at most k processes and s successors: no scan of all nodes, no
 `Configuration` built per step, and tuple hashes instead of dataclass hashes
 in the visited sets. There is one semantics for every negotiation, valid or
 not: (m, a) is enabled exactly when `step` fires a from m, and the kernel
 fires exactly those moves, so the searches never raise NotEnabled.
+`ConfigurationGraph` is the one indexed form of the configuration graph:
+`configuration_graph` fills it whole, and the product search reuses the
+graphs the soundness checks filled and expands the rest on demand.
 
 Executions do not step through `Configuration`s either. `_fire` tests and
 fires one action on a list of process positions (declared order) with
@@ -522,24 +524,62 @@ def successor_function(n: Negotiation):
     return expand
 
 
-@dataclass
 class ConfigurationGraph:
-    """Explicit reachable configuration graph over node tuples.
+    """The reachable configuration graph of `n` over node tuples, filled
+    whole or on demand.
 
-    `order` holds the reachable node tuples (declared process order) in BFS
-    discovery order, actions expanded in declared order; `succ[i]` lists the
-    (action, j) pairs leaving `order[i]` in action order, `j` indexing
-    `order`. `init`, `vertices` (discovery order) and `edges[c]` (the
-    (action, successor) pairs of `c`) give the same graph over
-    `Configuration`s.
+    `order` holds the discovered node tuples (declared process order), the
+    initial one at index 0, and `index` maps each back to its index.
+    `succ[i]` is `(actions, successor indices)` for `order[i]`, in declared
+    action order, or None until `expand(i)` runs. `configuration_graph`
+    expands every vertex in BFS order; the teacher's product search
+    expands only the vertices it reaches. Once the graph is filled whole,
+    `init`, `vertices` (discovery order) and `edges[c]` (the (action,
+    successor) pairs of `c`) give the same graph over `Configuration`s.
     """
 
-    processes: tuple
-    order: tuple
-    succ: tuple
+    def __init__(self, n: Negotiation):
+        self.negotiation = n
+        self.processes = n.alphabet.processes
+        init = n.initial_configuration().nodes
+        self.order = [init]
+        self.index = {init: 0}
+        self.succ = [None]
+        self._kernel = successor_function(n)
 
     def __len__(self):
         return len(self.order)
+
+    def expand(self, i: int) -> tuple:
+        """Fire the moves of `order[i]`, interning new successors at the
+        end of `order`; returns and records `succ[i]`."""
+        order, index, succ = self.order, self.index, self.succ
+        acts = []
+        js = []
+        for a, c in self._kernel(order[i])[1]:
+            j = index.get(c)
+            if j is None:
+                j = index[c] = len(order)
+                order.append(c)
+                succ.append(None)
+            acts.append(a)
+            js.append(j)
+        moves = succ[i] = (tuple(acts), tuple(js))
+        return moves
+
+    def final(self) -> int:
+        """The final configuration's index. While some vertex is still
+        unexpanded the graph interns it ahead of time; a graph filled whole
+        that does not reach it answers -1."""
+        fin = self.negotiation.final_configuration().nodes
+        i = self.index.get(fin)
+        if i is None:
+            if None not in self.succ:
+                return -1
+            i = self.index[fin] = len(self.order)
+            self.order.append(fin)
+            self.succ.append(None)
+        return i
 
     @property
     def init(self) -> Configuration:
@@ -552,33 +592,23 @@ class ConfigurationGraph:
     @cached_property
     def edges(self) -> dict:
         vs = self.vertices
-        return {vs[i]: tuple((a, vs[j]) for a, j in outs) for i, outs in enumerate(self.succ)}
+        return {vs[i]: tuple((a, vs[j]) for a, j in zip(*moves))
+                for i, moves in enumerate(self.succ)}
 
 
 def configuration_graph(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> ConfigurationGraph:
-    """The reachable configuration graph by BFS over node tuples; raises
-    StateBudgetExceeded past `budget` vertices."""
-    expand = successor_function(n)
-    init = n.initial_configuration().nodes
-    index = {init: 0}
-    order = [init]
-    succs = []
-    # not `bfs`: edges go to seen successors too, by index; keeping the
-    # moves to rebuild them would hold one node tuple per edge
-    for c in order:  # BFS: `order` grows while it is walked
-        outs = []
-        for a, c2 in expand(c)[1]:
-            j = index.get(c2)
-            if j is None:
-                j = index[c2] = len(order)
-                order.append(c2)
-                if len(order) > budget:
-                    raise StateBudgetExceeded(
-                        f"configuration graph exceeds {budget} vertices"
-                    )
-            outs.append((a, j))
-        succs.append(tuple(outs))
-    return ConfigurationGraph(n.alphabet.processes, tuple(order), tuple(succs))
+    """The reachable configuration graph, every vertex expanded in BFS
+    order; raises StateBudgetExceeded past `budget` vertices. Only a
+    discovered successor is checked against `budget`, so the initial
+    configuration alone fits in any budget, 0 included."""
+    graph = ConfigurationGraph(n)
+    order = graph.order
+    limit = max(budget, 1)
+    for i, _ in enumerate(order):  # BFS: `order` grows while it is walked
+        graph.expand(i)
+        if len(order) > limit:
+            raise StateBudgetExceeded(f"configuration graph exceeds {budget} vertices")
+    return graph
 
 
 def compute_I(n: Negotiation, node, budget: int = DEFAULT_STATE_BUDGET) -> Configuration:

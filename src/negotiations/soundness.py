@@ -33,8 +33,9 @@ from .model import (
 class SemanticSoundness:
     sound: bool
     counterexample: Configuration | None = None
-    # the configuration graph the verdict was read from, kept for reuse
-    # (the teacher's product search); equality and repr ignore it
+    # the configuration graph the verdict was read from, filled whole; the
+    # teacher's product search runs over it as it is, and keeps the
+    # target's for its session. Equality and repr ignore it
     graph: ConfigurationGraph | None = field(default=None, compare=False, repr=False)
 
 
@@ -44,15 +45,15 @@ def is_sound_semantic(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> Sem
     Either way the result carries the configuration graph it searched."""
     graph = configuration_graph(n, budget=budget)
     pred = [[] for _ in graph.order]
-    for i, outs in enumerate(graph.succ):
-        for _, j in outs:
+    for i, (_, js) in enumerate(graph.succ):
+        for j in js:
             pred[j].append(i)
-    fin = n.final_configuration().nodes
-    coreach = reach(pred.__getitem__, [graph.order.index(fin)] if fin in graph.order else [])
+    fin = graph.index.get(n.final_configuration().nodes)
+    coreach = reach(pred.__getitem__, [] if fin is None else [fin])
     stuck = [i for i in range(len(graph)) if i not in coreach]
     if stuck:
         # prefer an outright deadlock as the counterexample when one exists
-        dead = next((i for i in stuck if not graph.succ[i]), stuck[0])
+        dead = next((i for i in stuck if not graph.succ[i][0]), stuck[0])
         return SemanticSoundness(False, Configuration(graph.processes, graph.order[dead]), graph)
     return SemanticSoundness(True, None, graph)
 

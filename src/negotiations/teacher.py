@@ -6,15 +6,14 @@ equivalence), and equivalence queries whose counterexamples are executions,
 shortest first with lexicographic tie-breaking.
 
 Counterexamples come from a BFS over the synchronized product of the two
-configuration graphs, each held as an `_IndexedGraph`: node tuple -> index,
-index -> node tuple, and index -> the moves to successor indices in declared
-action order. The configuration graphs the soundness checks build arrive
-whole; a side with none is expanded on demand through
-`model.successor_function`. The Teacher keeps the target's graph for its
-whole session, so no query expands a target configuration twice. It holds
-only reachable target configurations (and, while it fills on demand, the
-final one): in `equiv_query` it is the graph `target_is_sound` built whole
-under `state_budget`, so it never exceeds the budget.
+sides' `model.ConfigurationGraph`s, on pairs of vertex indices. The graphs
+the soundness checks build arrive filled whole; a side with none starts
+from its initial configuration and is expanded on demand. The Teacher keeps
+the target's graph for its whole session, so no query expands a target
+configuration twice. It holds only reachable target configurations (and,
+while it fills on demand, the final one): in `equiv_query` it is the graph
+`target_is_sound` built whole under `state_budget`, so it never exceeds the
+budget.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .model import (
     member_exec,
     member_path,
     path,
-    successor_function,
 )
 
 POSITIVE = "positive"
@@ -55,58 +53,6 @@ class EquivAnswer:
     equivalent: bool
     sign: str | None = None  # POSITIVE: word in L(target) only; NEGATIVE: hypothesis only
     word: tuple | None = None
-
-
-_NO_MOVES = ((), ())
-
-
-class _IndexedGraph:
-    """The configuration graph of `n` in integer form, one side of the
-    product search: `index` maps a node tuple to its index, `order` an
-    index to its node tuple, and `moves[i]` is `(actions, successor
-    indices)` in declared action order, or None until index i is expanded.
-    Built from a whole `ConfigurationGraph`, it converts a vertex's edges
-    when the search first asks for them; built from nothing, it expands
-    through the successor kernel."""
-
-    def __init__(self, n: Negotiation, graph: ConfigurationGraph | None = None):
-        self.negotiation = n
-        self.whole = graph is not None
-        if self.whole:
-            self.order = list(graph.order)
-            self.index = {c: i for i, c in enumerate(self.order)}
-            self._succ = graph.succ
-        else:
-            self.order = []
-            self.index = {}
-            self._expand = successor_function(n)
-        self.moves = [None] * len(self.order)
-
-    def intern(self, nodes: tuple) -> int:
-        i = self.index.get(nodes)
-        if i is None:
-            i = self.index[nodes] = len(self.order)
-            self.order.append(nodes)
-            self.moves.append(None)
-        return i
-
-    def final(self) -> int:
-        """The final configuration's index, -1 when a whole graph does not
-        reach it; filled on demand, the graph indexes it ahead of time."""
-        fin = self.negotiation.final_configuration().nodes
-        if self.whole:
-            return self.index.get(fin, -1)
-        return self.intern(fin)
-
-    def expand(self, i: int) -> tuple:
-        if self.whole:
-            outs = self._succ[i]
-            m = tuple(zip(*outs)) if outs else _NO_MOVES
-        else:
-            outs = self._expand(self.order[i])[1]
-            m = (tuple(a for a, _ in outs), tuple(self.intern(c) for _, c in outs))
-        self.moves[i] = m
-        return m
 
 
 class Teacher:
@@ -155,7 +101,7 @@ class Teacher:
             self._target_sound = result.sound
             # the whole graph replaces one filled on demand: no search is
             # running, so no index of the old one is still in use
-            self._target_graph = _IndexedGraph(self.target, result.graph)
+            self._target_graph = result.graph
         return self._target_sound
 
     def equiv_query(self, hypothesis: Negotiation) -> EquivAnswer:
@@ -190,36 +136,35 @@ class Teacher:
                         graph: ConfigurationGraph | None = None) -> EquivAnswer:
         """BFS over the synchronized product of the target's configuration
         graph and the hypothesis's (`graph` when the soundness check built
-        it), on pairs of indices, stopping at the first pair where exactly
-        one side is final. Each action enabled on either side leads, in
-        declared action order, to the pair of its successors; a side where
-        it is not enabled goes to the dead sink, None, and stays there. So
-        the first such pair gives the shortest, lexicographically least
-        counterexample."""
+        it), on pairs of vertex indices from the initial pair (0, 0),
+        stopping at the first pair where exactly one side is final. Each
+        action enabled on either side leads, in declared action order, to
+        the pair of its successors; a side where it is not enabled goes to
+        the dead sink, None, and stays there. So the first such pair gives
+        the shortest, lexicographically least counterexample."""
         if self._target_graph is None:
-            self._target_graph = _IndexedGraph(self.target)
-        t, h = self._target_graph, _IndexedGraph(hypothesis, graph)
-        t_moves, h_moves = t.moves, h.moves
+            self._target_graph = ConfigurationGraph(self.target)
+        t = self._target_graph
+        h = ConfigurationGraph(hypothesis) if graph is None else graph
+        t_succ, h_succ = t.succ, h.succ
         t_fin, h_fin = t.final(), h.final()
         rank = self.target.alphabet.action_index
 
         def moves(pair):
             i, k = pair
             if i is None:
-                acts, js = h_moves[k] or h.expand(k)
+                acts, js = h_succ[k] or h.expand(k)
                 return list(zip(acts, zip(repeat(None), js)))
-            acts, js = t_moves[i] or t.expand(i)
+            acts, js = t_succ[i] or t.expand(i)
             if k is None:
                 return list(zip(acts, zip(js, repeat(None))))
-            acts2, js2 = h_moves[k] or h.expand(k)
+            acts2, js2 = h_succ[k] or h.expand(k)
             if acts == acts2:
                 return list(zip(acts, zip(js, js2)))
             m1, m2 = dict(zip(acts, js)), dict(zip(acts2, js2))
             return [(a, (m1.get(a), m2.get(a))) for a in sorted(m1.keys() | m2.keys(), key=rank)]
 
-        start = (t.intern(self.target.initial_configuration().nodes),
-                 h.intern(hypothesis.initial_configuration().nodes))
-        parent, hit = bfs(start, moves,
+        parent, hit = bfs((0, 0), moves,
                           stop=lambda s: (s[0] == t_fin) != (s[1] == h_fin),
                           budget=self.state_budget,
                           budget_error=f"equivalence product exceeds {self.state_budget} states")

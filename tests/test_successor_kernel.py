@@ -26,6 +26,7 @@ from negotiations.model import (
     Negotiation,
     compute_I,
     configuration_graph,
+    empty_negotiation,
     enabled_actions,
     member_exec,
     reach,
@@ -135,15 +136,24 @@ def oracle_answers(valid_inputs):
             for n, mutants in valid_inputs]
 
 
+def labelled_moves(graph, i):
+    """The moves of vertex i as (action, successor node tuple) pairs."""
+    acts, js = graph.succ[i]
+    return [(a, graph.order[j]) for a, j in zip(acts, js)]
+
+
 def test_target_graph_filled_on_demand_then_whole(valid_inputs, oracle_answers):
     """One teacher answers every hypothesis with the target's graph filled
-    on demand, then again after its soundness check put the whole graph in
-    its place."""
+    on demand, each vertex it expanded moving as in the whole graph, then
+    again after its soundness check put the whole graph in its place."""
     for (n, mutants), expected in zip(valid_inputs, oracle_answers):
         teacher = Teacher(n)
         hyps = (n, *mutants)
         assert [teacher._product_search(h) for h in hyps] == expected
-        assert not teacher._target_graph.whole
+        filled, whole = teacher._target_graph, configuration_graph(n)
+        for i, nodes in enumerate(filled.order):
+            if filled.succ[i] is not None:
+                assert labelled_moves(filled, i) == labelled_moves(whole, whole.index[nodes])
         teacher.target_is_sound()
         assert teacher._target_graph.order == list(configuration_graph(n).order)
         assert [teacher._product_search(h) for h in hyps] == expected
@@ -187,6 +197,10 @@ def test_budgets_agree():
     assert_agree(n, budgets=(1, 2, size // 2, size - 1, size))
     m = mutate(n, random.Random(3))
     assert_products_agree(n, m, budgets=(1, 2, 5, 50))
+    # budget 0 still holds the initial configuration (or product pair) alone
+    alpha = n.alphabet
+    assert_agree(empty_negotiation(alpha), budgets=(0,))
+    assert_products_agree(empty_negotiation(alpha), empty_negotiation(alpha), budgets=(0,))
 
 
 def broken(n, rng):
@@ -282,7 +296,7 @@ def test_graph_accepts_what_member_exec_accepts(base, seed):
     on `broken()` variants (mostly invalid ones)."""
     n = broken(base, random.Random(seed))
     g = configuration_graph(n)
-    succ = [dict(outs) for outs in g.succ]
+    succ = [dict(zip(*outs)) for outs in g.succ]
     fin = n.final_configuration().nodes
     for w in oracles.all_words(n.alphabet.actions, 3):
         i = 0
@@ -366,7 +380,7 @@ class TestInvalidInput:
     def test_configuration_graph_stops_at_the_guarded_move(self):
         n = invalid_rendezvous()
         g = configuration_graph(n)
-        assert g.order == (("I", "I"), ("m", "I")) and g.succ == ((("b", 1),), ())
+        assert g.order == [("I", "I"), ("m", "I")] and g.succ == [(("b",), (1,)), ((), ())]
         with pytest.raises(NotEnabled, match=BAD_MOVE):
             step(n, g.vertices[1], "a")
 
