@@ -38,7 +38,7 @@ class PartialDfa:
         for (s, (a, p)), t in self.delta.items():
             if s not in state_set or t not in state_set:
                 raise ValueError(f"transition ({s},{a}@{p}) -> {t} references unknown state")
-            if a not in set(self.alphabet.actions) or p not in self.alphabet.dom_set(a):
+            if a not in self.alphabet.dom or p not in self.alphabet.dom_set(a):
                 raise ValueError(f"illegal letter {a}@{p}")
 
     def out(self, s) -> tuple:

@@ -85,13 +85,7 @@ def cmd_equiv(args) -> int:
     if n1.alphabet != n2.alphabet:
         print("different alphabets", file=sys.stderr)
         return EXIT_FALSE
-    # minimal path DFAs when both sides are sound, else the product search;
-    # each side's soundness is decided at most once
-    teacher = Teacher(n1)
-    if teacher.target_is_sound() and soundness.is_sound_semantic(n2).sound:
-        equal = automata.neg_equiv(n1, n2)
-    else:
-        equal = teacher._product_search(n2).equivalent
+    equal = Teacher(n1).equivalent(n2)
     print("equivalent" if equal else "not equivalent")
     return EXIT_OK if equal else EXIT_FALSE
 

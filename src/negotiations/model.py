@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -533,9 +532,7 @@ class ConfigurationGraph:
     `succ[i]` is `(actions, successor indices)` for `order[i]`, in declared
     action order, or None until `expand(i)` runs. `configuration_graph`
     expands every vertex in BFS order; the teacher's product search
-    expands only the vertices it reaches. Once the graph is filled whole,
-    `init`, `vertices` (discovery order) and `edges[c]` (the (action,
-    successor) pairs of `c`) give the same graph over `Configuration`s.
+    expands only the vertices it reaches.
     """
 
     def __init__(self, n: Negotiation):
@@ -580,20 +577,6 @@ class ConfigurationGraph:
             self.order.append(fin)
             self.succ.append(None)
         return i
-
-    @property
-    def init(self) -> Configuration:
-        return Configuration(self.processes, self.order[0])
-
-    @cached_property
-    def vertices(self) -> tuple:
-        return tuple(Configuration(self.processes, c) for c in self.order)
-
-    @cached_property
-    def edges(self) -> dict:
-        vs = self.vertices
-        return {vs[i]: tuple((a, vs[j]) for a, j in zip(*moves))
-                for i, moves in enumerate(self.succ)}
 
 
 def configuration_graph(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> ConfigurationGraph:

@@ -5,15 +5,20 @@ paths, membership queries on executions (deduplicated up to trace
 equivalence), and equivalence queries whose counterexamples are executions,
 shortest first with lexicographic tie-breaking.
 
+Equivalence has one rule, in `_dfa_verdict`: minimal path DFAs when the
+target and the other side are both sound, the product search otherwise.
+`equivalent` (what `neg equiv` runs) answers by it alone; `equiv_query` also
+counts the query and finds and replays the counterexample.
+
 Counterexamples come from a BFS over the synchronized product of the two
 sides' `model.ConfigurationGraph`s, on pairs of vertex indices. The graphs
 the soundness checks build arrive filled whole; a side with none starts
 from its initial configuration and is expanded on demand. The Teacher keeps
 the target's graph for its whole session, so no query expands a target
 configuration twice. It holds only reachable target configurations (and,
-while it fills on demand, the final one): in `equiv_query` it is the graph
-`target_is_sound` built whole under `state_budget`, so it never exceeds the
-budget.
+while it fills on demand, the final one): in `equivalent` and `equiv_query`
+it is the graph `target_is_sound` built whole under `state_budget`, so it
+never exceeds the budget.
 """
 
 from __future__ import annotations
@@ -104,22 +109,36 @@ class Teacher:
             self._target_graph = result.graph
         return self._target_sound
 
+    def _dfa_verdict(self, other: Negotiation) -> tuple:
+        """`automata.neg_equiv(target, other)` when both are sound, else
+        None; with `other`'s soundness graph, built for a sound target only."""
+        if not self.target_is_sound():
+            return None, None
+        result = soundness.is_sound_semantic(other, budget=self.state_budget)
+        return (automata.neg_equiv(self.target, other) if result.sound else None), result.graph
+
+    def equivalent(self, other: Negotiation) -> bool:
+        """Language equality with the target: `_dfa_verdict`, else the
+        product search. Moves no counter and replays nothing."""
+        if other.alphabet != self.target.alphabet:
+            raise AlphabetMismatch("negotiations use different distributed alphabets")
+        verdict, graph = self._dfa_verdict(other)
+        if verdict is None:
+            return self._product_search(other, graph).equivalent
+        return verdict
+
     def equiv_query(self, hypothesis: Negotiation) -> EquivAnswer:
         """Shortest execution separating target and hypothesis, if any.
 
-        Fast path: when both sides are sound, language equality is decided on
-        minimal path DFAs; the product BFS only runs to produce the witness,
-        over the configuration graphs the soundness checks built.
+        Decided as in `equivalent`, except that the product search also runs
+        when the minimal path DFAs differ, to find the witness.
         """
         if hypothesis.alphabet != self.target.alphabet:
             raise AlphabetMismatch("hypothesis alphabet differs from the target's")
         self.stats.equivalence_total += 1
-        graph = None
-        if self.target_is_sound():
-            result = soundness.is_sound_semantic(hypothesis, budget=self.state_budget)
-            if result.sound and automata.neg_equiv(self.target, hypothesis):
-                return EquivAnswer(True)
-            graph = result.graph
+        verdict, graph = self._dfa_verdict(hypothesis)
+        if verdict:
+            return EquivAnswer(True)
         answer = self._product_search(hypothesis, graph)
         if answer.word is not None:
             self.stats.max_counterexample_len = max(

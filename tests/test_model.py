@@ -338,17 +338,18 @@ class TestConfigurationGraph:
         """member_exec agrees with walking the explicit graph, words <= 6."""
         for n in (fixtures.ping(), fixtures.fork(), fixtures.loop2()):
             g = configuration_graph(n)
-            fin = n.final_configuration()
+            succ = [dict(zip(*outs)) for outs in g.succ]
+            fin = n.final_configuration().nodes
             for w in oracles.all_words(n.alphabet.actions, 4):
-                c = g.init
+                i = 0
                 ok = True
                 for a in w:
-                    nxt = dict(g.edges[c]).get(a)
+                    nxt = succ[i].get(a)
                     if nxt is None:
                         ok = False
                         break
-                    c = nxt
-                assert member_exec(n, w) == (ok and c == fin)
+                    i = nxt
+                assert member_exec(n, w) == (ok and g.order[i] == fin)
 
 
 class TestSuccessorFunction:

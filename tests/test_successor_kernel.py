@@ -21,6 +21,7 @@ from negotiations.errors import NegotiationError, NotEnabled, StateBudgetExceede
 from negotiations.formats import serialize
 from negotiations.generate import GenParams, generate
 from negotiations.model import (
+    Configuration,
     DistributedAlphabet,
     ExecutionOutcome,
     Negotiation,
@@ -61,9 +62,13 @@ def outcome(f, *args, **kwargs):
 
 
 def kernel_graph(n, budget):
+    """(vertices, edges) over Configurations, as the stepwise oracle gives
+    them."""
     g = configuration_graph(n, budget=budget)
-    assert len(g) == len(g.vertices) and g.init == g.vertices[0]
-    return g.vertices, g.edges
+    vertices = tuple(Configuration(g.processes, c) for c in g.order)
+    assert len(g) == len(vertices) and g.order[0] == n.initial_configuration().nodes
+    return vertices, {vertices[i]: tuple((a, vertices[j]) for a, j in zip(*moves))
+                      for i, moves in enumerate(g.succ)}
 
 
 def product(t, h, budget):
@@ -162,13 +167,17 @@ def test_target_graph_filled_on_demand_then_whole(valid_inputs, oracle_answers):
 def test_target_graph_whole_first(valid_inputs, oracle_answers):
     """With the target's whole graph kept from the start, every route into
     the product answers as the oracle: on demand for the hypothesis, over
-    the hypothesis's own soundness graph, and through `equiv_query`."""
+    the hypothesis's own soundness graph, through `equivalent` (which moves
+    no counter) and through `equiv_query`."""
     for (n, mutants), expected in zip(valid_inputs, oracle_answers):
         teacher = Teacher(n)
         teacher.target_is_sound()
         for h, want in zip((n, *mutants), expected):
             assert teacher._product_search(h) == want
             assert teacher._product_search(h, is_sound_semantic(h).graph) == want
+            stats = teacher.stats.to_json()
+            assert teacher.equivalent(h) == want.equivalent
+            assert teacher.stats.to_json() == stats
             assert teacher.equiv_query(h) == want
         assert teacher._target_graph.order == list(configuration_graph(n).order)
 
@@ -322,8 +331,8 @@ def test_action_fireable_at_two_nodes_fires_once():
     """`step` fires x once, from where p sits."""
     n = fireable_at_two_nodes()
     g = configuration_graph(n)
-    assert [c.nodes for c in g.vertices] == [("I", "I"), ("A", "B")]
-    assert [(a, c.nodes) for a, c in g.edges[g.vertices[1]]] == [("x", ("A", "B"))]
+    assert g.order == [("I", "I"), ("A", "B")]
+    assert labelled_moves(g, 1) == [("x", ("A", "B"))]
     assert_agree(n)
 
 
@@ -382,7 +391,7 @@ class TestInvalidInput:
         g = configuration_graph(n)
         assert g.order == [("I", "I"), ("m", "I")] and g.succ == [(("b",), (1,)), ((), ())]
         with pytest.raises(NotEnabled, match=BAD_MOVE):
-            step(n, g.vertices[1], "a")
+            step(n, Configuration(g.processes, g.order[1]), "a")
 
     def test_equiv_query_answers(self):
         sound = over_z(("I", "F"))

@@ -132,6 +132,9 @@ class TestEquivalence:
         hyp = fixtures.ping()
         with pytest.raises(AlphabetMismatch):
             Teacher(target).equiv_query(hyp)
+        for n in (target, fixtures.fork_unsound()):  # sound and unsound targets
+            with pytest.raises(AlphabetMismatch):
+                Teacher(n).equivalent(hyp)
 
     def test_shortest_and_sign(self):
         target = fixtures.mod15()

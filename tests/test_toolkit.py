@@ -18,7 +18,7 @@ from negotiations.formats import (
     serialize,
 )
 from negotiations.generate import GenParams, generate
-from negotiations.model import validate
+from negotiations.model import ConfigurationGraph, validate
 from negotiations.soundness import is_sound_semantic
 from negotiations.teacher import Teacher
 
@@ -311,8 +311,8 @@ class TestCli:
         assert code == 0 and "equivalent" in out
         ping = tmp_path / "other.json"
         ping.write_text(serialize(fixtures.two_period()), encoding="utf-8")
-        code, _, _ = run_cli("equiv", fork_file, str(ping))
-        assert code == 1
+        code, out, err = run_cli("equiv", fork_file, str(ping))
+        assert code == 1 and out == "" and "different alphabets" in err
 
     def test_member(self, fork_file):
         code, out, _ = run_cli("member", fork_file, "--exec", "c y x d")
@@ -433,7 +433,9 @@ class TestCli:
     def test_equiv_decides_soundness_once_per_input(self, first, second, verdict, decisions,
                                                     tmp_path, monkeypatch, capsys):
         """`equiv` decides each input's soundness at most once: a sound
-        input paired with an unsound one takes 2 decisions, not 4."""
+        input paired with an unsound one takes 2 decisions, not 4. No
+        configuration of either input is expanded twice: the product search
+        runs on the graphs the soundness checks built."""
         files = []
         for name in (first, second):
             path = tmp_path / f"{name}.json"
@@ -445,11 +447,21 @@ class TestCli:
             calls.append(n)
             return is_sound_semantic(n, **kwargs)
 
+        expanded = []
+        expand = ConfigurationGraph.expand
+
+        def expanding(graph, i):
+            expanded.append((graph.negotiation, graph.order[i]))
+            return expand(graph, i)
+
         monkeypatch.setattr(soundness, "is_sound_semantic", counting)
+        monkeypatch.setattr(ConfigurationGraph, "expand", expanding)
         code = cli.main(["equiv", *files])
         assert capsys.readouterr().out.strip() == verdict
         assert code == (cli.EXIT_OK if verdict == "equivalent" else cli.EXIT_FALSE)
         assert len(calls) == decisions
+        keys = [(id(n), nodes) for n, nodes in expanded]  # `expanded` keeps each n alive
+        assert expanded and len(keys) == len(set(keys))
 
     @pytest.mark.parametrize("name,code", [("fork", cli.EXIT_OK), ("fork_unsound", cli.EXIT_FALSE)])
     @pytest.mark.parametrize("mode", ["exec", "paths"])
@@ -496,9 +508,9 @@ class TestCli:
         searches = []
         product_search = Teacher._product_search
 
-        def counting(self, hypothesis):
+        def counting(self, hypothesis, graph=None):
             searches.append(hypothesis)
-            return product_search(self, hypothesis)
+            return product_search(self, hypothesis, graph)
 
         monkeypatch.setattr(Teacher, "_product_search", counting)
         for a, b in pairs:
