@@ -9,17 +9,20 @@ graph that backs the soundness and equivalence oracles.
 `enabled`, `enabled_actions` and `step` are the reference semantics. The
 searches over the configuration space (`configuration_graph`, so semantic
 soundness; `compute_I`; the teacher's product search) run instead on one
-successor kernel, `successor_function`, over plain node tuples. Building
-the kernel reads `delta` once, in O(|delta|). Expanding a
-configuration then costs O(d*k + s*|P|) for its d distinct occupied nodes,
-domains of at most k processes and s successors: no scan of all nodes, no
-`Configuration` built per step, and tuple hashes instead of dataclass hashes
-in the visited sets. There is one semantics for every negotiation, valid or
-not: (m, a) is enabled exactly when `step` fires a from m, and the kernel
-fires exactly those moves, so the searches never raise NotEnabled.
-`ConfigurationGraph` is the one indexed form of the configuration graph:
-`configuration_graph` fills it whole, and the product search reuses the
-graphs the soundness checks filled and expands the rest on demand.
+successor kernel, `successor_function`, over packed configurations: a
+configuration is one int, its code, with each process's node index in a
+bit field of its own. Building the kernel reads `delta` once, in
+O(|delta| + |P|*|nodes|). Expanding a configuration then costs one field
+read per process, one mask compare per node a process leads, and one
+addition per successor: no node tuple or `Configuration` is built per step,
+and the visited sets hash ints. The searches decode a code to its node
+tuple only where they answer. There is one semantics for every
+negotiation, valid or not: (m, a) is enabled exactly when `step` fires a
+from m, and the kernel fires exactly those moves, so the searches never
+raise NotEnabled. `ConfigurationGraph` is the one indexed form of the
+configuration graph: `configuration_graph` fills it whole, and the product
+search reuses the graphs the soundness checks filled and expands the rest
+on demand.
 
 Executions do not step through `Configuration`s either. `_fire` tests and
 fires one action on a list of process positions (declared order) with
@@ -467,89 +470,116 @@ def member_path(n: Negotiation, pi) -> bool:
 
 
 def successor_function(n: Negotiation):
-    """The successor kernel of `n` over node tuples.
+    """The successor kernel of `n` over packed configurations.
 
-    Returns `expand(nodes) -> (enabled nodes, moves)` for the configuration
-    whose node tuple (declared process order) is `nodes`: the nodes whose
-    whole domain sits at them, and the actions fireable there in declared
-    action order, each with the node tuple it leads to -- `enabled_nodes`,
-    `enabled_actions` and `step` without a `Configuration`. Only the
-    distinct nodes occurring in `nodes` are looked at: a node elsewhere
-    holds none of its processes. `delta` is read once, here; nothing is
+    A configuration is one int, its code: process i's node index (declared
+    node order) sits in bits [i*b, (i+1)*b), with b the bits that the
+    largest node index needs, at least 1. Returns `(expand, encode,
+    decode)`: `encode(nodes)` and `decode(code)` convert between a code
+    and its node tuple (declared process order), and `expand(code) ->
+    (enabled nodes, moves)` gives the nodes whose whole domain sits at them
+    and the actions fireable there in declared action order, each with the
+    code it leads to -- `enabled_nodes`, `enabled_actions` and `step`
+    without a `Configuration`. `delta` is read once, here; nothing is
     cached on `n`.
 
-    A complete move (m, a) with dom(a) not a subset of dnode(m) (only an
-    invalid negotiation has one) is guarded: it fires when all of dom(a)
-    sits at m too, as in `enabled`.
+    A node is looked at only through the field of its domain's first
+    process, and is enabled when one mask compare finds all of its domain
+    there. A move adds a precomputed offset to the code: each of its
+    processes' fields goes from m to its target. A complete move (m, a)
+    with dom(a) not a subset of dnode(m) (only an invalid negotiation has
+    one) is guarded: it fires when a second mask compare finds all of
+    dom(a) at m too, as in `enabled`.
     """
     procs = n.alphabet.processes
+    names = n.nodes
+    ids = {m: k for k, m in enumerate(names)}
     pos = {p: i for i, p in enumerate(procs)}
-    # node -> (get, want, [(action index, action, targets, node)]), where
-    # get(nodes) == want exactly when the node is enabled
-    table = {}
+    b = max(1, (len(names) - 1).bit_length())
+    field = (1 << b) - 1
+    shifts = [i * b for i in range(len(procs))]
+
+    def fields(ps, k):
+        """(mask over the fields of `ps`, each of those fields holding k)."""
+        return (sum(field << shifts[pos[p]] for p in ps),
+                sum(k << shifts[pos[p]] for p in ps))
+
+    # leads[i][k]: (node, mask, want, [(action index, action, offset, guard
+    # mask, guard want)]) when process i leads node k's domain, else None;
+    # the node is enabled when code & mask == want
+    leads = [[None] * len(names) for _ in procs]
     guarded = False
-    for m in n.nodes:
-        idx = [pos[p] for p in n.dnode[m]]
+    for k, m in enumerate(names):
         moves = []
         for a in n.out(m):
             dom = n.alphabet.dom[a]
             if not all((m, a, p) in n.delta for p in dom):
                 continue
-            guarded = guarded or not n.alphabet.dom_set(a) <= n.dnode_set(m)
-            targets = tuple((pos[p], n.delta[(m, a, p)]) for p in dom)
-            moves.append((n.alphabet.action_index(a), a, targets, m))
-        table[m] = (itemgetter(*idx), m if len(idx) == 1 else (m,) * len(idx), moves)
+            offset = sum((ids[n.delta[(m, a, p)]] - k) << shifts[pos[p]] for p in dom)
+            guard = (0, 0)
+            if not n.alphabet.dom_set(a) <= n.dnode_set(m):
+                guarded = True
+                guard = fields(dom, k)
+            moves.append((n.alphabet.action_index(a), a, offset, *guard))
+        leads[pos[n.dnode[m][0]]][k] = (m, *fields(n.dnode[m], k), moves)
 
-    def expand(nodes: tuple):
+    def encode(nodes) -> int:
+        return sum(ids[m] << s for m, s in zip(nodes, shifts))
+
+    def decode(code: int) -> tuple:
+        return tuple(names[(code >> s) & field] for s in shifts)
+
+    def expand(code: int):
         enabled = []
         fireable = []
-        for m in set(nodes):
-            get, want, moves = table[m]
-            if get(nodes) == want:
-                enabled.append(m)
-                fireable += moves
+        rest = code
+        for lead in leads:
+            entry = lead[rest & field]
+            rest >>= b
+            if entry is not None and code & entry[1] == entry[2]:
+                enabled.append(entry[0])
+                fireable += entry[3]
         if guarded:  # a guarded move fires only if all of dom(a) sits at m
-            fireable = [mv for mv in fireable if all(nodes[i] == mv[3] for i, _ in mv[2])]
+            fireable = [mv for mv in fireable if code & mv[3] == mv[4]]
         if len(enabled) > 1:  # concurrent nodes: merge their moves into action order
             fireable.sort(key=itemgetter(0))
-        out = []
-        for _, a, targets, _ in fireable:
-            nxt = list(nodes)
-            for i, t in targets:
-                nxt[i] = t
-            out.append((a, tuple(nxt)))
-        return enabled, out
+        return enabled, [(a, code + offset) for _, a, offset, _, _ in fireable]
 
-    return expand
+    return expand, encode, decode
 
 
 class ConfigurationGraph:
-    """The reachable configuration graph of `n` over node tuples, filled
-    whole or on demand.
+    """The reachable configuration graph of `n` over packed codes (see
+    `successor_function`), filled whole or on demand.
 
-    `order` holds the discovered node tuples (declared process order), the
-    initial one at index 0, and `index` maps each back to its index.
-    `succ[i]` is `(actions, successor indices)` for `order[i]`, in declared
-    action order, or None until `expand(i)` runs. `configuration_graph`
-    expands every vertex in BFS order; the teacher's product search
-    expands only the vertices it reaches.
+    `order` holds the discovered codes, the initial one at index 0, and
+    `index` maps each back to its index; `nodes(i)` is vertex i's node
+    tuple (declared process order) and `code(nodes)` the code of a node
+    tuple. `succ[i]` is `(actions, successor indices)` for vertex i, in
+    declared action order, or None until `expand(i)` runs.
+    `configuration_graph` expands every vertex in BFS order; the teacher's
+    product search expands only the vertices it reaches.
     """
 
     def __init__(self, n: Negotiation):
         self.negotiation = n
         self.processes = n.alphabet.processes
-        init = n.initial_configuration().nodes
+        self._kernel, self.code, self._decode = successor_function(n)
+        init = self.code(n.initial_configuration().nodes)
         self.order = [init]
         self.index = {init: 0}
         self.succ = [None]
-        self._kernel = successor_function(n)
 
     def __len__(self):
         return len(self.order)
 
+    def nodes(self, i: int) -> tuple:
+        """The node tuple of vertex i."""
+        return self._decode(self.order[i])
+
     def expand(self, i: int) -> tuple:
-        """Fire the moves of `order[i]`, interning new successors at the
-        end of `order`; returns and records `succ[i]`."""
+        """Fire the moves of vertex i, interning new successors at the end
+        of `order`; returns and records `succ[i]`."""
         order, index, succ = self.order, self.index, self.succ
         acts = []
         js = []
@@ -568,7 +598,7 @@ class ConfigurationGraph:
         """The final configuration's index. While some vertex is still
         unexpanded the graph interns it ahead of time; a graph filled whole
         that does not reach it answers -1."""
-        fin = self.negotiation.final_configuration().nodes
+        fin = self.code(self.negotiation.final_configuration().nodes)
         i = self.index.get(fin)
         if i is None:
             if None not in self.succ:
@@ -596,14 +626,15 @@ def configuration_graph(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> C
 
 def compute_I(n: Negotiation, node, budget: int = DEFAULT_STATE_BUDGET) -> Configuration:
     """The unique reachable configuration whose enabled-node set is exactly
-    {node}. The BFS visits every reachable configuration and raises
-    AmbiguousConfiguration at a second match, so the answer does not depend
-    on the expansion order.
+    {node}. The BFS runs over packed codes (see `successor_function`),
+    visits every reachable configuration and raises AmbiguousConfiguration
+    at a second match, so the answer does not depend on the expansion
+    order; the answer and the error's two configurations are decoded.
     """
     if node not in set(n.nodes):
         raise ValueError(f"unknown node {node!r}")
     procs = n.alphabet.processes
-    expand = successor_function(n)
+    expand, encode, decode = successor_function(n)
     found = None
 
     def moves(c):
@@ -613,16 +644,16 @@ def compute_I(n: Negotiation, node, budget: int = DEFAULT_STATE_BUDGET) -> Confi
             if found is not None:
                 raise AmbiguousConfiguration(
                     f"two configurations enable exactly {node!r}: "
-                    f"{Configuration(procs, found)} and {Configuration(procs, c)}"
+                    f"{Configuration(procs, decode(found))} and {Configuration(procs, decode(c))}"
                 )
             found = c
         return out
 
-    bfs(n.initial_configuration().nodes, moves, budget=budget,
+    bfs(encode(n.initial_configuration().nodes), moves, budget=budget,
         budget_error=f"configuration search exceeds {budget} vertices")
     if found is None:
         raise ConfigurationNotFound(f"no reachable configuration enables exactly {node!r}")
-    return Configuration(procs, found)
+    return Configuration(procs, decode(found))
 
 
 def empty_negotiation(alphabet: DistributedAlphabet) -> Negotiation:

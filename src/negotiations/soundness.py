@@ -48,13 +48,13 @@ def is_sound_semantic(n: Negotiation, budget: int = DEFAULT_STATE_BUDGET) -> Sem
     for i, (_, js) in enumerate(graph.succ):
         for j in js:
             pred[j].append(i)
-    fin = graph.index.get(n.final_configuration().nodes)
+    fin = graph.index.get(graph.code(n.final_configuration().nodes))
     coreach = reach(pred.__getitem__, [] if fin is None else [fin])
     stuck = [i for i in range(len(graph)) if i not in coreach]
     if stuck:
         # prefer an outright deadlock as the counterexample when one exists
         dead = next((i for i in stuck if not graph.succ[i][0]), stuck[0])
-        return SemanticSoundness(False, Configuration(graph.processes, graph.order[dead]), graph)
+        return SemanticSoundness(False, Configuration(graph.processes, graph.nodes(dead)), graph)
     return SemanticSoundness(True, None, graph)
 
 

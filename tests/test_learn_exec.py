@@ -334,7 +334,7 @@ def scattered_configurations(n):
     outs = {m: set(n.out(m)) for m in n.nodes}
     graph = configuration_graph(n)
     found = []
-    for nodes in graph.order:
+    for nodes in map(graph.nodes, range(len(graph))):
         at = dict(zip(graph.processes, nodes))
         for b in n.alphabet.actions:
             if len({at[p] for p in n.alphabet.dom[b] if b in outs[at[p]]}) > 1:

@@ -38,7 +38,7 @@ from negotiations.formats import serialize
 import fixtures
 import oracles
 from test_acceptance import _make_corpus
-from test_successor_kernel import FIXTURES, invalid_rendezvous
+from test_successor_kernel import FIXTURES, invalid_rendezvous, node_kernel
 from test_teacher import split_at_shared_node
 
 
@@ -349,7 +349,7 @@ class TestConfigurationGraph:
                         ok = False
                         break
                     i = nxt
-                assert member_exec(n, w) == (ok and g.order[i] == fin)
+                assert member_exec(n, w) == (ok and g.nodes(i) == fin)
 
 
 class TestSuccessorFunction:
@@ -358,12 +358,14 @@ class TestSuccessorFunction:
 
     def test_valid_inputs_get_a_kernel(self):
         for n in [getattr(fixtures, name)() for name in FIXTURES] + _make_corpus(count=60):
-            assert successor_function(n) is not None
+            expand, encode, decode = successor_function(n)
+            init = n.initial_configuration().nodes
+            assert decode(encode(init)) == init and expand(encode(init))[0] == [n.init]
 
     def test_bad_move_is_guarded(self):
         """a leaves m for p and q, but dnode(m) holds only p: a fires only
         once q has joined p at m."""
-        expand = successor_function(invalid_rendezvous())
+        expand = node_kernel(invalid_rendezvous())
         assert expand(("m", "I")) == (["m"], [])
         assert expand(("m", "m")) == (["m"], [("a", ("F", "F"))])
 
@@ -376,14 +378,14 @@ class TestSuccessorFunction:
             {("I", "c", "p"): "A", ("I", "c", "q"): "B", ("A", "x", "p"): "A", ("B", "x", "p"): "A"},
             "I", "F",
         )
-        expand = successor_function(n)
+        expand = node_kernel(n)
         assert expand(("A", "B"))[1] == [("x", ("A", "B"))]
         assert expand(("B", "B")) == (["B"], [("x", ("A", "B"))])
         assert expand(("I", "B")) == (["B"], [])
 
     def test_expand_gives_enabled_nodes_and_moves(self):
         n = fixtures.fork()
-        expand = successor_function(n)
+        expand = node_kernel(n)
         assert expand(("n0", "n0")) == (["n0"], [("c", ("n1", "n2"))])
         enabled, moves = expand(("n1", "n2"))
         assert sorted(enabled) == ["n1", "n2"]

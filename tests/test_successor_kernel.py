@@ -1,10 +1,11 @@
 """The successor kernel's searches against their stepwise oracles.
 
 `configuration_graph`, `is_sound_semantic`, `compute_I` and the teacher's
-product search run on `model.successor_function`; `oracles.stepwise_*` are
-the same searches over `enabled_actions` and `step`. They must agree on
-vertex order, edges, verdicts, counterexamples and raised errors, on valid
-inputs and on invalid ones. `run_execution` and `max_executable_prefix`
+product search run on `model.successor_function`, over configurations
+packed into one int each; `oracles.stepwise_*` are the same searches over
+`enabled_actions` and `step`. They must agree on vertex order, edges,
+verdicts, counterexamples and raised errors, on valid inputs and on invalid
+ones, with the codes decoded to node tuples. `run_execution` and `max_executable_prefix`
 fire through `model._fire` on a list of process positions, and must agree
 with `oracles.stepwise_run_execution` and
 `oracles.stepwise_max_executable_prefix` in the same way.
@@ -22,6 +23,7 @@ from negotiations.formats import serialize
 from negotiations.generate import GenParams, generate
 from negotiations.model import (
     Configuration,
+    ConfigurationGraph,
     DistributedAlphabet,
     ExecutionOutcome,
     Negotiation,
@@ -61,12 +63,31 @@ def outcome(f, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def decoded(graph):
+    """The node tuple of each vertex of `graph`, in index order."""
+    return [graph.nodes(i) for i in range(len(graph))]
+
+
+def node_kernel(n):
+    """`n`'s successor kernel with node tuples at its edges: it encodes the
+    configuration it is given and decodes each successor."""
+    expand, encode, decode = successor_function(n)
+
+    def expand_nodes(nodes):
+        enabled, moves = expand(encode(nodes))
+        return enabled, [(a, decode(c)) for a, c in moves]
+    return expand_nodes
+
+
 def kernel_graph(n, budget):
     """(vertices, edges) over Configurations, as the stepwise oracle gives
-    them."""
+    them. The vertices' node tuples are pairwise distinct, and each encodes
+    back to its code."""
     g = configuration_graph(n, budget=budget)
-    vertices = tuple(Configuration(g.processes, c) for c in g.order)
-    assert len(g) == len(vertices) and g.order[0] == n.initial_configuration().nodes
+    nodes = decoded(g)
+    assert len(set(nodes)) == len(nodes) and [g.code(c) for c in nodes] == g.order
+    vertices = tuple(Configuration(g.processes, c) for c in nodes)
+    assert len(g) == len(vertices) and g.nodes(0) == n.initial_configuration().nodes
     return vertices, {vertices[i]: tuple((a, vertices[j]) for a, j in zip(*moves))
                       for i, moves in enumerate(g.succ)}
 
@@ -130,6 +151,81 @@ def test_product_search_agrees_on_valid_inputs(valid_inputs):
     assert answers == {None, "positive", "negative"}
 
 
+# -- packed codes: field widths, the round trip, codes past 64 bits ------------
+
+
+def chain(k):
+    """A valid negotiation with k nodes over p and q: init I forks p along
+    the P-nodes and q along the Q-nodes, which move them one at a time
+    (x and y) to the join J, and J leads to fin F. Two nodes are I and F
+    alone, three add J; one node is I alone, init and fin both."""
+    alpha = DistributedAlphabet(("p", "q"), ("c", "x", "y", "d"),
+                                {"c": ("p", "q"), "x": ("p",), "y": ("q",), "d": ("p", "q")})
+    both = ("p", "q")
+    if k == 1:
+        return Negotiation(alpha, ("I",), {"I": both}, {}, "I", "I")
+    if k == 2:
+        return Negotiation(alpha, ("I", "F"), {"I": both, "F": both},
+                           {("I", "c", "p"): "F", ("I", "c", "q"): "F"}, "I", "F")
+    ps = [f"P{j}" for j in range((k - 2) // 2)]
+    qs = [f"Q{j}" for j in range((k - 3) // 2)]
+    dnode = {"I": both, **{m: ("p",) for m in ps}, **{m: ("q",) for m in qs}, "J": both, "F": both}
+    delta = {("I", "c", "p"): (ps + ["J"])[0], ("I", "c", "q"): (qs + ["J"])[0],
+             ("J", "d", "p"): "F", ("J", "d", "q"): "F"}
+    for proc, act, line in (("p", "x", ps), ("q", "y", qs)):
+        for m, nxt in zip(line, line[1:] + ["J"]):
+            delta[(m, act, proc)] = nxt
+    return Negotiation(alpha, ("I", *ps, *qs, "J", "F"), dnode, delta, "I", "F")
+
+
+@pytest.mark.parametrize("k, width", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (9, 4)])
+def test_field_widths(k, width):
+    """A node index takes the bits its largest value needs, at least one:
+    process i's field is bits [i*width, (i+1)*width), so fin, the last
+    node, packs to k - 1 in both fields. The searches agree with the
+    stepwise oracles, and the vertices decode to distinct node tuples that
+    encode back to their codes, at every width; `test_searches_agree_on_invalid_inputs` checks the same on
+    every invalid variant."""
+    n = chain(k)
+    assert len(n.nodes) == k and validate(n) == ([] if k > 1 else
+                                                 ["init and fin must be distinct nodes"])
+    assert_agree(n)
+    g = configuration_graph(n)
+    assert g.code((n.fin, n.fin)) == (k - 1) | (k - 1) << width
+    assert is_sound_semantic(n).sound and g.final() >= 0
+
+
+def test_concurrent_moves_merge_into_action_order():
+    """The kernel reads concurrent nodes in the order of the processes
+    that lead them, and merges their moves into declared action order.
+    With each fixture's actions declared in reverse, the two orders differ
+    (the fork's x at n1, led by p, now comes after y at n2, led by q), and
+    the searches still agree with the stepwise oracles."""
+    for name in FIXTURES:
+        n = getattr(fixtures, name)()
+        alpha = n.alphabet
+        rev = Negotiation(DistributedAlphabet(alpha.processes, alpha.actions[::-1], dict(alpha.dom)),
+                          n.nodes, dict(n.dnode), dict(n.delta), n.init, n.fin)
+        assert_agree(rev)
+        assert_products_agree(rev, rev)
+
+
+def test_codes_wider_than_64_bits():
+    """12 processes over 34 nodes: 6-bit fields, so 72-bit codes. Every
+    vertex round-trips, and each of the first 2,000 vertices expanded on
+    demand moves as `enabled_actions` and `step` do on its Configuration."""
+    n = generate(GenParams(12, 60, 0.2, 0.5, seed=3))
+    assert (len(n.alphabet.processes), len(n.nodes)) == (12, 34)
+    g = configuration_graph(n)
+    assert len(g) == 30831 and max(g.order).bit_length() > 64
+    assert all(g.code(g.nodes(i)) == code for i, code in enumerate(g.order))
+    lazy = ConfigurationGraph(n)
+    for i in range(2000):
+        lazy.expand(i)
+        c = Configuration(lazy.processes, lazy.nodes(i))
+        assert labelled_moves(lazy, i) == [(a, step(n, c, a).nodes) for a in enabled_actions(n, c)]
+
+
 # -- one teacher, many hypotheses: the kept target graph leaks nothing ---------
 
 
@@ -144,7 +240,7 @@ def oracle_answers(valid_inputs):
 def labelled_moves(graph, i):
     """The moves of vertex i as (action, successor node tuple) pairs."""
     acts, js = graph.succ[i]
-    return [(a, graph.order[j]) for a, j in zip(acts, js)]
+    return [(a, graph.nodes(j)) for a, j in zip(acts, js)]
 
 
 def test_target_graph_filled_on_demand_then_whole(valid_inputs, oracle_answers):
@@ -156,9 +252,9 @@ def test_target_graph_filled_on_demand_then_whole(valid_inputs, oracle_answers):
         hyps = (n, *mutants)
         assert [teacher._product_search(h) for h in hyps] == expected
         filled, whole = teacher._target_graph, configuration_graph(n)
-        for i, nodes in enumerate(filled.order):
+        for i, code in enumerate(filled.order):
             if filled.succ[i] is not None:
-                assert labelled_moves(filled, i) == labelled_moves(whole, whole.index[nodes])
+                assert labelled_moves(filled, i) == labelled_moves(whole, whole.index[code])
         teacher.target_is_sound()
         assert teacher._target_graph.order == list(configuration_graph(n).order)
         assert [teacher._product_search(h) for h in hyps] == expected
@@ -290,7 +386,7 @@ def test_enabled_actions_are_what_step_fires():
     `enabled_actions` lists exactly the actions `step` fires, and the
     kernel fires them to the same configurations."""
     for _, bad in invalid_variants():
-        expand = successor_function(bad)
+        expand = node_kernel(bad)
         for c in reach(lambda c: [c2 for _, c2 in fired(bad, c)], [bad.initial_configuration()]):
             moves = fired(bad, c)
             assert enabled_actions(bad, c) == [a for a, _ in moves]
@@ -313,7 +409,7 @@ def test_graph_accepts_what_member_exec_accepts(base, seed):
             i = succ[i].get(a)
             if i is None:
                 break
-        assert (i is not None and g.order[i] == fin) == member_exec(n, w)
+        assert (i is not None and g.nodes(i) == fin) == member_exec(n, w)
 
 
 def fireable_at_two_nodes():
@@ -331,7 +427,7 @@ def test_action_fireable_at_two_nodes_fires_once():
     """`step` fires x once, from where p sits."""
     n = fireable_at_two_nodes()
     g = configuration_graph(n)
-    assert g.order == [("I", "I"), ("A", "B")]
+    assert decoded(g) == [("I", "I"), ("A", "B")]
     assert labelled_moves(g, 1) == [("x", ("A", "B"))]
     assert_agree(n)
 
@@ -389,9 +485,9 @@ class TestInvalidInput:
     def test_configuration_graph_stops_at_the_guarded_move(self):
         n = invalid_rendezvous()
         g = configuration_graph(n)
-        assert g.order == [("I", "I"), ("m", "I")] and g.succ == [(("b",), (1,)), ((), ())]
+        assert decoded(g) == [("I", "I"), ("m", "I")] and g.succ == [(("b",), (1,)), ((), ())]
         with pytest.raises(NotEnabled, match=BAD_MOVE):
-            step(n, Configuration(g.processes, g.order[1]), "a")
+            step(n, Configuration(g.processes, g.nodes(1)), "a")
 
     def test_equiv_query_answers(self):
         sound = over_z(("I", "F"))
