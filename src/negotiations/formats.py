@@ -36,9 +36,19 @@ def _names(where: str, values) -> tuple:
     return tuple(values)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's members; a repeated key is a ParseError, not dropped."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse(text: str) -> Negotiation:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     # ValueError covers JSONDecodeError and integers past the digit limit;
     # RecursionError, documents nested too deeply
     except (ValueError, RecursionError) as exc:

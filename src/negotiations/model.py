@@ -24,14 +24,12 @@ configuration graph: `configuration_graph` fills it whole, and the product
 search reuses the graphs the soundness checks filled and expands the rest
 on demand.
 
-Executions do not step through `Configuration`s either. `_fire` tests and
-fires one action on a list of process positions (declared order) with
-`step`'s checks, and moves the list only once they all pass. `run_execution`
-walks a word with it and builds one `Configuration` at the end, so
-`member_exec`, the teacher's execution queries and counterexample replay
-and `neg member --exec` run on it; `traces.max_executable_prefix` tests and
-fires its minimal events through it too. `step` stays the reference that
-the tests hold both against.
+Executions fire through the kernel's `fire(code, a)`, with `step`'s checks,
+on the kernel each negotiation keeps from its first execution.
+`run_execution` (so `member_exec`, the teacher's execution queries and
+counterexample replay, and `neg member --exec`) and
+`traces.max_executable_prefix` walk one code and decode it once at the end;
+`step` stays the reference that the tests hold both against.
 
 Graph searches use `reach` for reachability sets and `bfs` (with `path`
 reading a label path out of its parent map) where discovery order, shortest
@@ -47,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -58,10 +57,6 @@ from .errors import (
     StateBudgetExceeded,
     UnknownAction,
 )
-
-Word = tuple  # tuple[str, ...]
-LocalLetter = tuple  # (action, process)
-LocalWord = tuple  # tuple[LocalLetter, ...]
 
 DEFAULT_STATE_BUDGET = 10**6
 
@@ -230,6 +225,14 @@ class Negotiation:
     def final_configuration(self) -> Configuration:
         return Configuration.uniform(self.alphabet, self.fin)
 
+    @cached_property
+    def _executions(self) -> tuple:
+        """(fire, decode, initial code, final code) of the successor kernel,
+        built on the first execution; `==`, repr, pickle and copies skip it."""
+        _, encode, decode, fire = successor_function(self)
+        return (fire, decode, encode(self.initial_configuration().nodes),
+                encode(self.final_configuration().nodes))
+
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
@@ -388,45 +391,21 @@ def step(n: Negotiation, c: Configuration, a) -> Configuration:
     return c.replace({p: n.delta[(m, a, p)] for p in procs})
 
 
-def _fire(n: Negotiation, at: list, a):
-    """Fire the known action `a` on `at`, the node of each process in
-    declared order, exactly where `step` fires it: all of dom(a) sits at
-    the node m of its first process, each (m, a, p) is in `delta`, and,
-    when dnode(m) is not dom(a) (only in an invalid negotiation), all of
-    dnode(m) sits at m too. Returns m, having moved `at` along `delta`, or
-    None with `at` untouched."""
-    alpha = n.alphabet
-    pos = alpha._proc_index
-    procs = alpha.dom[a]
-    m = at[pos[procs[0]]]
-    delta = n.delta
-    for p in procs:
-        if at[pos[p]] != m or (m, a, p) not in delta:
-            return None
-    dn = n.dnode[m]
-    if dn != procs:
-        for p in dn:
-            if at[pos[p]] != m:
-                return None
-    for p in procs:
-        at[pos[p]] = delta[(m, a, p)]
-    return m
-
-
 def run_execution(n: Negotiation, w) -> ExecutionOutcome:
-    """Fire the letters of `w` left to right from the initial configuration;
-    `end` is the configuration before the blocking letter when stuck."""
+    """Fire the letters of `w` left to right from the initial configuration,
+    on one code through `n`'s kernel; `end` is the configuration before the
+    blocking letter when stuck."""
     w = tuple(w)
     n.alphabet.check_word(w)
+    fire, decode, code, fin = n._executions
     procs = n.alphabet.processes
-    at = [n.init] * len(procs)
     for i, a in enumerate(w):
-        if _fire(n, at, a) is None:
-            return ExecutionOutcome(ExecutionOutcome.STUCK, i, Configuration(procs, tuple(at)))
-    c = Configuration(procs, tuple(at))
-    if c == n.final_configuration():
-        return ExecutionOutcome(ExecutionOutcome.COMPLETED, len(w), c)
-    return ExecutionOutcome(ExecutionOutcome.PARTIAL, len(w), c)
+        nxt = fire(code, a)
+        if nxt is None:
+            return ExecutionOutcome(ExecutionOutcome.STUCK, i, Configuration(procs, decode(code)))
+        code = nxt
+    status = ExecutionOutcome.COMPLETED if code == fin else ExecutionOutcome.PARTIAL
+    return ExecutionOutcome(status, len(w), Configuration(procs, decode(code)))
 
 
 def member_exec(n: Negotiation, w) -> bool:
@@ -475,13 +454,14 @@ def successor_function(n: Negotiation):
     A configuration is one int, its code: process i's node index (declared
     node order) sits in bits [i*b, (i+1)*b), with b the bits that the
     largest node index needs, at least 1. Returns `(expand, encode,
-    decode)`: `encode(nodes)` and `decode(code)` convert between a code
-    and its node tuple (declared process order), and `expand(code) ->
+    decode, fire)`: `encode(nodes)` and `decode(code)` convert between a
+    code and its node tuple (declared process order), `expand(code) ->
     (enabled nodes, moves)` gives the nodes whose whole domain sits at them
     and the actions fireable there in declared action order, each with the
     code it leads to -- `enabled_nodes`, `enabled_actions` and `step`
-    without a `Configuration`. `delta` is read once, here; nothing is
-    cached on `n`.
+    without a `Configuration` -- and `fire(code, a)` the code after the
+    known action a, or None where `step` raises NotEnabled. `delta` is read
+    once, here; only executions keep a kernel (`Negotiation._executions`).
 
     A node is looked at only through the field of its domain's first
     process, and is enabled when one mask compare finds all of its domain
@@ -489,7 +469,8 @@ def successor_function(n: Negotiation):
     processes' fields goes from m to its target. A complete move (m, a)
     with dom(a) not a subset of dnode(m) (only an invalid negotiation has
     one) is guarded: it fires when a second mask compare finds all of
-    dom(a) at m too, as in `enabled`.
+    dom(a) at m too, as in `enabled`. `fire` reads m off dom(a)'s first
+    process and fires a exactly as `step` does: m enabled, a complete there.
     """
     procs = n.alphabet.processes
     names = n.nodes
@@ -504,9 +485,10 @@ def successor_function(n: Negotiation):
         return (sum(field << shifts[pos[p]] for p in ps),
                 sum(k << shifts[pos[p]] for p in ps))
 
-    # leads[i][k]: (node, mask, want, [(action index, action, offset, guard
-    # mask, guard want)]) when process i leads node k's domain, else None;
-    # the node is enabled when code & mask == want
+    # entries[k]: (node, mask, want, [(action index, action, offset, guard
+    # mask, guard want)]) for node k, enabled when code & mask == want;
+    # leads[i][k] is entries[k] when process i leads node k's domain, else None
+    entries = []
     leads = [[None] * len(names) for _ in procs]
     guarded = False
     for k, m in enumerate(names):
@@ -521,7 +503,9 @@ def successor_function(n: Negotiation):
                 guarded = True
                 guard = fields(dom, k)
             moves.append((n.alphabet.action_index(a), a, offset, *guard))
-        leads[pos[n.dnode[m][0]]][k] = (m, *fields(n.dnode[m], k), moves)
+        entries.append((m, *fields(n.dnode[m], k), moves))
+        leads[pos[n.dnode[m][0]]][k] = entries[k]
+    first = {a: shifts[pos[dom[0]]] for a, dom in n.alphabet.dom.items()}
 
     def encode(nodes) -> int:
         return sum(ids[m] << s for m, s in zip(nodes, shifts))
@@ -545,7 +529,15 @@ def successor_function(n: Negotiation):
             fireable.sort(key=itemgetter(0))
         return enabled, [(a, code + offset) for _, a, offset, _, _ in fireable]
 
-    return expand, encode, decode
+    def fire(code: int, a):
+        _, mask, want, moves = entries[(code >> first[a]) & field]
+        if code & mask == want:
+            for _, b, offset, guard, guard_want in moves:
+                if b == a:
+                    return code + offset if code & guard == guard_want else None
+        return None
+
+    return expand, encode, decode, fire
 
 
 class ConfigurationGraph:
@@ -564,7 +556,7 @@ class ConfigurationGraph:
     def __init__(self, n: Negotiation):
         self.negotiation = n
         self.processes = n.alphabet.processes
-        self._kernel, self.code, self._decode = successor_function(n)
+        self._kernel, self.code, self._decode, _ = successor_function(n)
         init = self.code(n.initial_configuration().nodes)
         self.order = [init]
         self.index = {init: 0}
@@ -634,7 +626,7 @@ def compute_I(n: Negotiation, node, budget: int = DEFAULT_STATE_BUDGET) -> Confi
     if node not in set(n.nodes):
         raise ValueError(f"unknown node {node!r}")
     procs = n.alphabet.processes
-    expand, encode, decode = successor_function(n)
+    expand, encode, decode, _ = successor_function(n)
     found = None
 
     def moves(c):

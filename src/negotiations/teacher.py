@@ -84,10 +84,10 @@ class Teacher:
         except (KeyError, TypeError):  # a miss, or letters given as lists
             pi = tuple(tuple(l) for l in pi)
             answer = self._path_cache.get(pi)
-        self.stats.membership_total += 1
-        if answer is None:
-            self.stats.membership_distinct += 1
+        if answer is None:  # counted once answered: `member_path` may raise
             answer = self._path_cache[pi] = member_path(self.target, pi)
+            self.stats.membership_distinct += 1
+        self.stats.membership_total += 1
         return answer
 
     def member_exec_query(self, w) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .errors import NotCoprime, ProcessNotInDmin, UnknownAction
-from .model import Configuration, DistributedAlphabet, Negotiation, _fire
+from .model import Configuration, DistributedAlphabet, Negotiation
 
 
 def _domains(alpha: DistributedAlphabet, w) -> list:
@@ -224,25 +224,22 @@ class PrefixResult:
 
 def max_executable_prefix(n: Negotiation, w, rng=None) -> PrefixResult:
     """Fire any enabled action among the remainder's minimal events until
-    none is; soundness of `n` is not required. Each test and each firing is
-    `model._fire` on one list of process positions, where `step` would fire.
+    none is; soundness of `n` is not required. Each minimal event is tested
+    and fired by the kernel's `fire` on one code, where `step` would fire.
 
     With `rng` the choice among simultaneously enabled minimal events is
     randomized (confluence is a tested property, not an assumption).
     """
     alpha = n.alphabet
     alpha.check_word(w)
+    fire, decode, code, _ = n._executions
     rest = list(w)
-    at = [n.init] * len(alpha.processes)
     fired = []
     while True:
-        # test on copies: only the picked event moves `at`
-        enabled_now = [i for i in minimal_event_indices(alpha, rest)
-                       if _fire(n, at[:], rest[i]) is not None]
-        if not enabled_now:
+        moves = [(i, c) for i in minimal_event_indices(alpha, rest)
+                 if (c := fire(code, rest[i])) is not None]
+        if not moves:
             break
-        pick = enabled_now[0] if rng is None else rng.choice(enabled_now)
-        a = rest.pop(pick)
-        _fire(n, at, a)
-        fired.append(a)
-    return PrefixResult(tuple(fired), tuple(rest), Configuration(alpha.processes, tuple(at)))
+        i, code = moves[0] if rng is None else rng.choice(moves)
+        fired.append(rest.pop(i))
+    return PrefixResult(tuple(fired), tuple(rest), Configuration(alpha.processes, decode(code)))

@@ -184,8 +184,8 @@ def language_upto(n: Negotiation, max_len: int):
 
 
 # -- executions by `enabled_actions` and `step` -------------------------------
-# model.run_execution and traces.max_executable_prefix fire through
-# model._fire on a list of process positions; they must agree with these,
+# model.run_execution and traces.max_executable_prefix fire through the
+# successor kernel's `fire` on one code; they must agree with these,
 # ends, remainders and raised errors included.
 
 

@@ -358,7 +358,7 @@ class TestSuccessorFunction:
 
     def test_valid_inputs_get_a_kernel(self):
         for n in [getattr(fixtures, name)() for name in FIXTURES] + _make_corpus(count=60):
-            expand, encode, decode = successor_function(n)
+            expand, encode, decode, _ = successor_function(n)
             init = n.initial_configuration().nodes
             assert decode(encode(init)) == init and expand(encode(init))[0] == [n.init]
 

@@ -5,12 +5,14 @@ product search run on `model.successor_function`, over configurations
 packed into one int each; `oracles.stepwise_*` are the same searches over
 `enabled_actions` and `step`. They must agree on vertex order, edges,
 verdicts, counterexamples and raised errors, on valid inputs and on invalid
-ones, with the codes decoded to node tuples. `run_execution` and `max_executable_prefix`
-fire through `model._fire` on a list of process positions, and must agree
-with `oracles.stepwise_run_execution` and
+ones, with the codes decoded to node tuples. `run_execution` and
+`max_executable_prefix` fire through the kernel's `fire` on one code, and
+must agree with `oracles.stepwise_run_execution` and
 `oracles.stepwise_max_executable_prefix` in the same way.
 """
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -71,7 +73,7 @@ def decoded(graph):
 def node_kernel(n):
     """`n`'s successor kernel with node tuples at its edges: it encodes the
     configuration it is given and decodes each successor."""
-    expand, encode, decode = successor_function(n)
+    expand, encode, decode, _ = successor_function(n)
 
     def expand_nodes(nodes):
         enabled, moves = expand(encode(nodes))
@@ -571,3 +573,22 @@ def test_executions_agree_with_the_stepwise_loops(valid_inputs):
     assert guarded > 0
     assert seen == {ExecutionOutcome.COMPLETED, ExecutionOutcome.PARTIAL,
                     ExecutionOutcome.STUCK, UnknownAction}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_execution_kernel_is_invisible(name):
+    """The kernel a negotiation keeps for its executions, built by the first
+    one, changes neither its pickle, its copies nor its repr, and an
+    unpickled copy builds its own and answers the same."""
+    n = getattr(fixtures, name)()
+    before, text = pickle.dumps(n), repr(n)
+    words = execution_words(n, random.Random(5), 20)
+    member_exec(n, words[0])
+    assert "_executions" in vars(n)
+    assert pickle.dumps(n) == before
+    assert copy.deepcopy(n) == n and repr(n) == text
+    clone = pickle.loads(before)
+    for w in words:
+        assert outcome(run_execution, clone, w) == outcome(run_execution, n, w)
+        assert outcome(traces.max_executable_prefix, clone, w) == outcome(
+            traces.max_executable_prefix, n, w)

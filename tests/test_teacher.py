@@ -5,7 +5,7 @@ import pytest
 from negotiations.errors import AlphabetMismatch, UnknownAction
 from negotiations.generate import generate
 from negotiations.model import DistributedAlphabet, Negotiation, empty_negotiation, member_exec, validate
-from negotiations.teacher import NEGATIVE, POSITIVE, Teacher
+from negotiations.teacher import NEGATIVE, POSITIVE, QueryStats, Teacher
 
 import fixtures
 import oracles
@@ -72,6 +72,22 @@ class TestMembership:
     def test_exec_query_unknown_letter(self, w):
         with pytest.raises(UnknownAction):
             Teacher(fixtures.fork()).member_exec_query(w)
+
+    @pytest.mark.parametrize("kind,bad,good", [
+        ("path", (("c", "p"), ("zz", "p")), (("c", "p"), ("x", "p"), ("d", "p"))),
+        ("exec", ("c", "zz"), ("c", "x", "y", "d")),
+    ])
+    def test_only_answered_queries_are_counted(self, kind, bad, good):
+        """A query that raises UnknownAction moves no counter, asked twice;
+        an answered one after it counts once in each."""
+        t = Teacher(fixtures.fork())
+        ask = getattr(t, f"member_{kind}_query")
+        for _ in range(2):
+            with pytest.raises(UnknownAction):
+                ask(bad)
+        assert t.stats == QueryStats()
+        assert ask(good)
+        assert (t.stats.membership_total, t.stats.membership_distinct) == (1, 1)
 
 
 class TestEquivalence:

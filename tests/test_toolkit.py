@@ -161,6 +161,23 @@ class TestJson:
         assert cli.main(["sound", str(path)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("old,new,key", [
+        ('"transitions":', '"fin":"n0","transitions":', "fin"),
+        ('"nodes":{', '"nodes":{"n1":["p","q"],', "n1"),
+        ('"actions":{', '"actions":{"x":["q"],', "x"),
+    ], ids=["fin", "node", "action"])
+    def test_duplicate_key_is_a_parse_error(self, old, new, key, tmp_path, capsys):
+        """The fork with `fin`, node n1 or action x declared twice: JSON
+        would keep only the last value, so `parse` names the key, and `neg`
+        exits 2."""
+        text = serialize(fixtures.fork()).replace(old, new, 1)
+        with pytest.raises(ParseError, match=f"duplicate key '{key}'"):
+            parse(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["sound", str(path)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("where,message", [
         (("processes", 1), r"processes\[1\] must be a string"),
         (("actions", "c", 1), r"actions\['c'\]\[1\] must be a string"),
