@@ -532,8 +532,8 @@ def successor_function(n: Negotiation):
     def fire(code: int, a):
         _, mask, want, moves = entries[(code >> first[a]) & field]
         if code & mask == want:
-            for _, b, offset, guard, guard_want in moves:
-                if b == a:
+            for _, action, offset, guard, guard_want in moves:
+                if action == a:
                     return code + offset if code & guard == guard_want else None
         return None
 
