@@ -24,12 +24,14 @@ configuration graph: `configuration_graph` fills it whole, and the product
 search reuses the graphs the soundness checks filled and expands the rest
 on demand.
 
-Executions fire through the kernel's `fire(code, a)`, with `step`'s checks,
-on the kernel each negotiation keeps from its first execution.
-`run_execution` (so `member_exec`, the teacher's execution queries and
-counterexample replay, and `neg member --exec`) and
-`traces.max_executable_prefix` walk one code and decode it once at the end;
-`step` stays the reference that the tests hold both against.
+Executions go through the kernel's `run(code, w)`, which fires the letters
+of `w` in turn, with `step`'s checks, in one loop on one code, on the kernel
+each negotiation keeps from its first execution. `run_execution` (so
+`neg member --exec`) decodes the code once at the end; `member_exec` (so
+the teacher's execution queries and counterexample replay) compares it
+with the final code and decodes nothing; `traces.max_executable_prefix`
+tests each minimal event with a one-letter `run`. `step` stays the
+reference that the tests hold all three against.
 
 Graph searches use `reach` for reachability sets and `bfs` (with `path`
 reading a label path out of its parent map) where discovery order, shortest
@@ -227,10 +229,10 @@ class Negotiation:
 
     @cached_property
     def _executions(self) -> tuple:
-        """(fire, decode, initial code, final code) of the successor kernel,
+        """(run, decode, initial code, final code) of the successor kernel,
         built on the first execution; `==`, repr, pickle and copies skip it."""
-        _, encode, decode, fire = successor_function(self)
-        return (fire, decode, encode(self.initial_configuration().nodes),
+        _, encode, decode, run = successor_function(self)
+        return (run, decode, encode(self.initial_configuration().nodes),
                 encode(self.final_configuration().nodes))
 
 
@@ -393,24 +395,25 @@ def step(n: Negotiation, c: Configuration, a) -> Configuration:
 
 def run_execution(n: Negotiation, w) -> ExecutionOutcome:
     """Fire the letters of `w` left to right from the initial configuration,
-    on one code through `n`'s kernel; `end` is the configuration before the
+    in one `run` of `n`'s kernel; `end` is the configuration before the
     blocking letter when stuck."""
     w = tuple(w)
     n.alphabet.check_word(w)
-    fire, decode, code, fin = n._executions
-    procs = n.alphabet.processes
-    for i, a in enumerate(w):
-        nxt = fire(code, a)
-        if nxt is None:
-            return ExecutionOutcome(ExecutionOutcome.STUCK, i, Configuration(procs, decode(code)))
-        code = nxt
-    status = ExecutionOutcome.COMPLETED if code == fin else ExecutionOutcome.PARTIAL
-    return ExecutionOutcome(status, len(w), Configuration(procs, decode(code)))
+    run, decode, init, fin = n._executions
+    fired, code = run(init, w)
+    if fired < len(w):
+        status = ExecutionOutcome.STUCK
+    else:
+        status = ExecutionOutcome.COMPLETED if code == fin else ExecutionOutcome.PARTIAL
+    return ExecutionOutcome(status, fired, Configuration(n.alphabet.processes, decode(code)))
 
 
 def member_exec(n: Negotiation, w) -> bool:
-    """Is `w` a successful execution of `n`?"""
-    return run_execution(n, w).completed
+    """Is `w` a successful execution of `n`? One `run`, nothing decoded."""
+    w = tuple(w)
+    n.alphabet.check_word(w)
+    run, _, init, fin = n._executions
+    return run(init, w) == (len(w), fin)
 
 
 def walk(n: Negotiation, start, letters) -> list:
@@ -428,14 +431,14 @@ def walk(n: Negotiation, start, letters) -> list:
 
 def run_local_path(n: Negotiation, pi) -> str:
     """Walk `pi` (letters a@p) through the graph from init; returns the node
-    reached. Raises NoTransition with the failing index, or UnknownAction
-    when the letter there has an unknown action."""
+    reached. Raises UnknownAction, before walking, when any letter has an
+    unknown action, else NoTransition with the failing index."""
     pi = tuple(pi)
+    n.alphabet.check_word([a for a, _ in pi])
     nodes = walk(n, n.init, pi)
     i = len(nodes) - 1
-    if i < len(pi):  # letters before i have transitions, so known actions
+    if i < len(pi):
         a, p = pi[i]
-        n.alphabet.check_word((a,))
         raise NoTransition(i, (a, p), nodes[i])
     return nodes[i]
 
@@ -454,14 +457,16 @@ def successor_function(n: Negotiation):
     A configuration is one int, its code: process i's node index (declared
     node order) sits in bits [i*b, (i+1)*b), with b the bits that the
     largest node index needs, at least 1. Returns `(expand, encode,
-    decode, fire)`: `encode(nodes)` and `decode(code)` convert between a
+    decode, run)`: `encode(nodes)` and `decode(code)` convert between a
     code and its node tuple (declared process order), `expand(code) ->
     (enabled nodes, moves)` gives the nodes whose whole domain sits at them
     and the actions fireable there in declared action order, each with the
     code it leads to -- `enabled_nodes`, `enabled_actions` and `step`
-    without a `Configuration` -- and `fire(code, a)` the code after the
-    known action a, or None where `step` raises NotEnabled. `delta` is read
-    once, here; only executions keep a kernel (`Negotiation._executions`).
+    without a `Configuration` -- and `run(code, w) -> (fired, code)` fires
+    the known actions of `w` in turn and stops before the first one where
+    `step` raises NotEnabled, returning how many fired and the code after
+    them. `delta` is read once, here; only executions keep a kernel
+    (`Negotiation._executions`).
 
     A node is looked at only through the field of its domain's first
     process, and is enabled when one mask compare finds all of its domain
@@ -469,8 +474,10 @@ def successor_function(n: Negotiation):
     processes' fields goes from m to its target. A complete move (m, a)
     with dom(a) not a subset of dnode(m) (only an invalid negotiation has
     one) is guarded: it fires when a second mask compare finds all of
-    dom(a) at m too, as in `enabled`. `fire` reads m off dom(a)'s first
-    process and fires a exactly as `step` does: m enabled, a complete there.
+    dom(a) at m too, as in `enabled`. `run` reads m off dom(a)'s first
+    process and looks a up in m's moves by action, whose one mask compare
+    covers dnode(m) and, for a guarded move, dom(a): it fires a exactly as
+    `step` does, m enabled and a complete there.
     """
     procs = n.alphabet.processes
     names = n.nodes
@@ -487,11 +494,15 @@ def successor_function(n: Negotiation):
 
     # entries[k]: (node, mask, want, [(action index, action, offset, guard
     # mask, guard want)]) for node k, enabled when code & mask == want;
-    # leads[i][k] is entries[k] when process i leads node k's domain, else None
+    # leads[i][k] is entries[k] when process i leads node k's domain, else
+    # None; by_action[k]: {action: (mask | guard mask, want | guard want,
+    # offset)} for node k's moves
     entries = []
+    by_action = []
     leads = [[None] * len(names) for _ in procs]
     guarded = False
     for k, m in enumerate(names):
+        mask, want = fields(n.dnode[m], k)
         moves = []
         for a in n.out(m):
             dom = n.alphabet.dom[a]
@@ -503,7 +514,9 @@ def successor_function(n: Negotiation):
                 guarded = True
                 guard = fields(dom, k)
             moves.append((n.alphabet.action_index(a), a, offset, *guard))
-        entries.append((m, *fields(n.dnode[m], k), moves))
+        entries.append((m, mask, want, moves))
+        by_action.append({a: (mask | gmask, want | gwant, offset)
+                          for _, a, offset, gmask, gwant in moves})
         leads[pos[n.dnode[m][0]]][k] = entries[k]
     first = {a: shifts[pos[dom[0]]] for a, dom in n.alphabet.dom.items()}
 
@@ -529,15 +542,15 @@ def successor_function(n: Negotiation):
             fireable.sort(key=itemgetter(0))
         return enabled, [(a, code + offset) for _, a, offset, _, _ in fireable]
 
-    def fire(code: int, a):
-        _, mask, want, moves = entries[(code >> first[a]) & field]
-        if code & mask == want:
-            for _, action, offset, guard, guard_want in moves:
-                if action == a:
-                    return code + offset if code & guard == guard_want else None
-        return None
+    def run(code: int, w) -> tuple:
+        for i, a in enumerate(w):
+            move = by_action[(code >> first[a]) & field].get(a)
+            if move is None or code & move[0] != move[1]:
+                return i, code
+            code += move[2]
+        return len(w), code
 
-    return expand, encode, decode, fire
+    return expand, encode, decode, run
 
 
 class ConfigurationGraph:

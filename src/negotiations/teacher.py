@@ -92,11 +92,12 @@ class Teacher:
 
     def member_exec_query(self, w) -> bool:
         key = traces.normal_form(self.target.alphabet, tuple(w))
-        self.stats.membership_total += 1
-        if key not in self._exec_cache:
+        answer = self._exec_cache.get(key)
+        if answer is None:  # counted once answered, as a path query
+            answer = self._exec_cache[key] = member_exec(self.target, key)
             self.stats.membership_distinct += 1
-            self._exec_cache[key] = member_exec(self.target, key)
-        return self._exec_cache[key]
+        self.stats.membership_total += 1
+        return answer
 
     # -- equivalence --------------------------------------------------------
 

@@ -225,21 +225,22 @@ class PrefixResult:
 def max_executable_prefix(n: Negotiation, w, rng=None) -> PrefixResult:
     """Fire any enabled action among the remainder's minimal events until
     none is; soundness of `n` is not required. Each minimal event is tested
-    and fired by the kernel's `fire` on one code, where `step` would fire.
+    and fired by a one-letter `run` of the kernel on one code, where `step`
+    would fire.
 
     With `rng` the choice among simultaneously enabled minimal events is
     randomized (confluence is a tested property, not an assumption).
     """
     alpha = n.alphabet
     alpha.check_word(w)
-    fire, decode, code, _ = n._executions
+    run, decode, code, _ = n._executions
     rest = list(w)
     fired = []
     while True:
         moves = [(i, c) for i in minimal_event_indices(alpha, rest)
-                 if (c := fire(code, rest[i])) is not None]
+                 if (c := run(code, (rest[i],)))[0]]
         if not moves:
             break
-        i, code = moves[0] if rng is None else rng.choice(moves)
+        i, (_, code) = moves[0] if rng is None else rng.choice(moves)
         fired.append(rest.pop(i))
     return PrefixResult(tuple(fired), tuple(rest), Configuration(alpha.processes, decode(code)))

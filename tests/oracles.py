@@ -184,9 +184,9 @@ def language_upto(n: Negotiation, max_len: int):
 
 
 # -- executions by `enabled_actions` and `step` -------------------------------
-# model.run_execution and traces.max_executable_prefix fire through the
-# successor kernel's `fire` on one code; they must agree with these,
-# ends, remainders and raised errors included.
+# model.run_execution, model.member_exec and traces.max_executable_prefix
+# fire through the successor kernel's `run` on one code; they must agree
+# with these, ends, remainders and raised errors included.
 
 
 def stepwise_run_execution(n: Negotiation, w) -> ExecutionOutcome:

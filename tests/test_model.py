@@ -270,14 +270,16 @@ class TestLocalPaths:
             pytest.fail("expected NoTransition")
 
     def test_errors_in_letter_order(self):
-        """NoTransition at the first missing hop, even when an unknown action
-        follows it; UnknownAction for one at or before that hop."""
+        """UnknownAction for an unknown action anywhere in the path, also
+        after the first missing hop, as `run_execution` checks every letter
+        first; with known actions only, NoTransition at the first missing hop."""
         n = fixtures.fork()
         with pytest.raises(NoTransition) as info:
-            run_local_path(n, (("y", "p"), ("zz", "p")))
+            run_local_path(n, (("y", "p"), ("x", "p")))
         assert (info.value.index, info.value.letter, info.value.node) == (0, ("y", "p"), "n0")
-        with pytest.raises(UnknownAction):
-            run_local_path(n, (("zz", "p"), ("y", "p")))
+        for pi in ((("y", "p"), ("zz", "p")), (("zz", "p"), ("y", "p"))):
+            with pytest.raises(UnknownAction):
+                run_local_path(n, pi)
 
     def test_walk_stops_before_a_missing_hop(self):
         n = fixtures.fork()

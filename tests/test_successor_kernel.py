@@ -5,9 +5,9 @@ product search run on `model.successor_function`, over configurations
 packed into one int each; `oracles.stepwise_*` are the same searches over
 `enabled_actions` and `step`. They must agree on vertex order, edges,
 verdicts, counterexamples and raised errors, on valid inputs and on invalid
-ones, with the codes decoded to node tuples. `run_execution` and
-`max_executable_prefix` fire through the kernel's `fire` on one code, and
-must agree with `oracles.stepwise_run_execution` and
+ones, with the codes decoded to node tuples. `run_execution`,
+`member_exec` and `max_executable_prefix` fire through the kernel's `run`
+on one code, and must agree with `oracles.stepwise_run_execution` and
 `oracles.stepwise_max_executable_prefix` in the same way.
 """
 
@@ -540,12 +540,16 @@ def execution_words(n, rng, count):
 
 
 def assert_executions_agree(n, rng, count, seeds=(0, 1, 2)):
-    """Both execution routes answer as their stepwise loops on `count`
-    words of `n`; returns each run's status, or the error type raised."""
+    """The execution routes answer as their stepwise loops on `count`
+    words of `n`; returns each run's status, or the error type raised.
+    `member_exec` does not go through `run_execution`, so it is held
+    against the stepwise outcome's `completed` on its own."""
     seen = set()
     for w in execution_words(n, rng, count):
         got = outcome(run_execution, n, w)
-        assert got == outcome(oracles.stepwise_run_execution, n, w)
+        want = outcome(oracles.stepwise_run_execution, n, w)
+        assert got == want
+        assert outcome(member_exec, n, w) == (want if isinstance(want, tuple) else want.completed)
         seen.add(got[0] if isinstance(got, tuple) else got.status)
         assert outcome(traces.max_executable_prefix, n, w) == outcome(
             oracles.stepwise_max_executable_prefix, n, w)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from negotiations import teacher, traces
 from negotiations.errors import AlphabetMismatch, UnknownAction
 from negotiations.generate import generate
 from negotiations.model import DistributedAlphabet, Negotiation, empty_negotiation, member_exec, validate
@@ -76,10 +77,12 @@ class TestMembership:
     @pytest.mark.parametrize("kind,bad,good", [
         ("path", (("c", "p"), ("zz", "p")), (("c", "p"), ("x", "p"), ("d", "p"))),
         ("exec", ("c", "zz"), ("c", "x", "y", "d")),
+        ("path", (("x", "p"), ("zz", "p")), (("c", "p"), ("x", "p"), ("d", "p"))),
     ])
     def test_only_answered_queries_are_counted(self, kind, bad, good):
-        """A query that raises UnknownAction moves no counter, asked twice;
-        an answered one after it counts once in each."""
+        """A query that raises UnknownAction moves no counter, asked twice,
+        also where the unknown action comes after the walk has stopped; an
+        answered one after it counts once in each."""
         t = Teacher(fixtures.fork())
         ask = getattr(t, f"member_{kind}_query")
         for _ in range(2):
@@ -88,6 +91,26 @@ class TestMembership:
         assert t.stats == QueryStats()
         assert ask(good)
         assert (t.stats.membership_total, t.stats.membership_distinct) == (1, 1)
+
+    def test_one_execution_per_distinct_trace(self, monkeypatch):
+        """The target executes each distinct trace once, on its normal
+        form; a repeated or trace-equivalent word is a hit and gets the
+        answer that execution gave."""
+        calls = []
+
+        def counted(n, w):
+            calls.append(w)
+            return member_exec(n, w)
+
+        monkeypatch.setattr(teacher, "member_exec", counted)
+        t = Teacher(fixtures.fork())
+        words = [("c", "x", "y", "d"), ("c", "y", "x", "d"), ("c", "x"),
+                 ("c", "x", "y", "d"), ("x", "c"), ("c", "x"), ("x", "c")]
+        assert [t.member_exec_query(w) for w in words] == [True, True, False, True,
+                                                           False, False, False]
+        keys = [traces.normal_form(t.target.alphabet, w) for w in words]
+        assert calls == list(dict.fromkeys(keys)) and len(calls) == 3
+        assert (t.stats.membership_total, t.stats.membership_distinct) == (7, 3)
 
 
 class TestEquivalence:
